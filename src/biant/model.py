@@ -8,13 +8,18 @@ tolerance; training is bitwise deterministic given the seeds.
 Per-instance losses are teacher-forced cross-entropies summed over the
 target positions; forward and backward anticipation instances use the same
 loss, weighted alpha and beta respectively in the joint objective.
+
+Training and decoding share one trunk (embeddings plus blocks). Decoding
+applies the output head at every position; the loss and its gradient apply
+it only at the target positions. Each weight gradient is one 2-D matmul
+over the flattened batch positions.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -120,13 +125,13 @@ def init_params(cfg: ModelConfig) -> Parameters:
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x**3)))
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * (x * x * x))))
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    u = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(u)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+    x2 = x * x
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * x2)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -145,15 +150,20 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
-def _forward_batch(params: Parameters, tokens: np.ndarray, keep_cache: bool):
-    """Run the network on an int (B, T) batch; optionally keep activations."""
+def _wgrad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over all batch positions of outer(a, b), as one 2-D matmul."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
+def _trunk(params: Parameters, tokens: np.ndarray, keep_cache: bool):
+    """Embeddings plus blocks on an int (B, T) batch: the final hidden states,
+    and each layer's activations for the backward pass if keep_cache."""
     cfg = params.config
     p = params.arrays
     b, t = tokens.shape
     if t > cfg.context_len:
         raise ContextOverflow(f"sequence length {t} exceeds context length {cfg.context_len}")
-    dh = cfg.embed_dim // cfg.num_heads
-    scale = 1.0 / math.sqrt(dh)
+    scale = 1.0 / math.sqrt(cfg.embed_dim // cfg.num_heads)
     causal_bias = np.triu(np.full((t, t), -np.inf), k=1)
 
     x = p["tok_emb"][tokens] + p["pos_emb"][:t]
@@ -174,9 +184,13 @@ def _forward_batch(params: Parameters, tokens: np.ndarray, keep_cache: bool):
         x = x_mid + h @ p[f"l{i}.w2"] + p[f"l{i}.b2"]
         if keep_cache:
             layers.append((x_in, qh, kh, vh, attn, ctx, x_mid, h_pre, h))
-    logits = x @ p["w_out"] + p["b_out"]
-    cache = (x, layers, scale) if keep_cache else None
-    return logits, cache
+    return x, (layers if keep_cache else None)
+
+
+def _forward_batch(params: Parameters, tokens: np.ndarray, keep_cache: bool):
+    """Full-vocabulary logits at every position of an int (B, T) batch."""
+    x, cache = _trunk(params, tokens, keep_cache)
+    return x @ params.arrays["w_out"] + params.arrays["b_out"], cache
 
 
 def forward(params: Parameters, tokens) -> np.ndarray:
@@ -213,6 +227,8 @@ def combined_loss(l_fwd: float, l_bwd: float, w: LossWeights) -> float:
 
 def _stack_batch(batch: list[EncodedInstance]) -> tuple[np.ndarray, np.ndarray]:
     """Right-pad a batch with PAD tokens; padded positions carry no loss."""
+    if not batch:
+        raise ShapeMismatch("empty batch")
     t_max = max(len(e.tokens) for e in batch)
     tokens = np.zeros((len(batch), t_max), dtype=np.int64)
     mask = np.zeros((len(batch), t_max), dtype=bool)
@@ -224,46 +240,37 @@ def _stack_batch(batch: list[EncodedInstance]) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class BatchLosses:
-    """Per-instance sums split by direction, plus the optimized objective."""
+    """Per-instance loss sums and directions, plus the optimized objective."""
 
     objective: float
     per_instance: np.ndarray
     weights: np.ndarray
     directions: list[str]
 
-    def direction_sums(self) -> tuple[float, int, float, int]:
-        fwd = [l for l, d in zip(self.per_instance, self.directions) if d == FORWARD]
-        bwd = [l for l, d in zip(self.per_instance, self.directions) if d != FORWARD]
-        return float(sum(fwd)), len(fwd), float(sum(bwd)), len(bwd)
-
 
 def batch_objective(params: Parameters, batch: list[EncodedInstance], w: LossWeights) -> float:
     """Mean over the batch of the direction-weighted per-instance losses."""
-    return _batch_losses(params, batch, w).objective
-
-
-def _batch_losses(params, batch, w) -> BatchLosses:
-    if not batch:
-        raise ShapeMismatch("empty batch")
     tokens, mask = _stack_batch(batch)
-    logits, _ = _forward_batch(params, tokens, keep_cache=False)
-    return _losses_from_logits(logits, tokens, mask, batch, w)
-
-
-def _losses_from_logits(logits, tokens, mask, batch, w) -> BatchLosses:
-    logp = logits - _logsumexp(logits)
+    x, _ = _trunk(params, tokens, keep_cache=False)
     rows, cols = np.nonzero(mask)
-    nll = -logp[rows, cols - 1, tokens[rows, cols]]
-    per_instance = np.zeros(len(batch))
-    np.add.at(per_instance, rows, nll)
+    losses, _ = _target_losses(params, x[rows, cols - 1], rows, tokens[rows, cols], batch, w)
+    return losses.objective
+
+
+def _target_losses(params, hidden, rows, targets, batch, w) -> tuple[BatchLosses, np.ndarray]:
+    """Cross-entropy of the output head, applied only to the (N, d) hidden
+    states that predict a target; ``rows`` gives each one's instance.
+    Returns the losses and the head's softmax (N, V)."""
+    shifted = hidden @ params.arrays["w_out"] + params.arrays["b_out"]
+    shifted -= shifted.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    total = probs.sum(axis=1)
+    probs /= total[:, None]
+    nll = np.log(total) - shifted[np.arange(len(rows)), targets]
+    per_instance = np.bincount(rows, weights=nll, minlength=len(batch))
     weights = np.array([w.for_direction(e.direction) for e in batch])
     objective = float((weights * per_instance).mean())
-    return BatchLosses(objective, per_instance, weights, [e.direction for e in batch])
-
-
-def _logsumexp(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=-1, keepdims=True)
-    return m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+    return BatchLosses(objective, per_instance, weights, [e.direction for e in batch]), probs
 
 
 def gradient(
@@ -275,42 +282,39 @@ def gradient(
 
 
 def _gradient_detailed(params, batch, w) -> tuple[dict[str, np.ndarray], BatchLosses]:
-    if not batch:
-        raise ShapeMismatch("empty batch")
     cfg = params.config
     p = params.arrays
     tokens, mask = _stack_batch(batch)
     b, t = tokens.shape
-    logits, cache = _forward_batch(params, tokens, keep_cache=True)
-    losses = _losses_from_logits(logits, tokens, mask, batch, w)
+    x_final, layers = _trunk(params, tokens, keep_cache=True)
+    rows, cols = np.nonzero(mask)
+    hidden, targets = x_final[rows, cols - 1], tokens[rows, cols]
+    losses, probs = _target_losses(params, hidden, rows, targets, batch, w)
     if not np.isfinite(losses.objective):
         raise NumericalDivergence(f"non-finite loss ({losses.objective})")
 
-    # d objective / d logits: softmax-CE rows at positions that predict a target.
-    probs = np.exp(logits - _logsumexp(logits))
-    rows, cols = np.nonzero(mask)
+    # d objective / d logits at the target positions: softmax minus one-hot.
     coeff = losses.weights[rows] / b
-    dlogits = np.zeros_like(logits)
-    dlogits[rows, cols - 1, :] = probs[rows, cols - 1, :] * coeff[:, None]
-    dlogits[rows, cols - 1, tokens[rows, cols]] -= coeff
-
-    x_final, layers, scale = cache
+    dlog = probs * coeff[:, None]
+    dlog[np.arange(len(rows)), targets] -= coeff
     grads = {name: np.zeros_like(arr) for name, arr in p.items()}
-    grads["w_out"] = np.einsum("btd,btv->dv", x_final, dlogits)
-    grads["b_out"] = dlogits.sum((0, 1))
-    dx = dlogits @ p["w_out"].T
+    grads["w_out"] = hidden.T @ dlog
+    grads["b_out"] = dlog.sum(0)
+    dx = np.zeros_like(x_final)
+    dx[rows, cols - 1] = dlog @ p["w_out"].T
+    scale = 1.0 / math.sqrt(cfg.embed_dim // cfg.num_heads)
 
     for i in reversed(range(cfg.num_layers)):
         x_in, qh, kh, vh, attn, ctx, x_mid, h_pre, h = layers[i]
         # MLP branch: x = x_mid + gelu(x_mid @ w1 + b1) @ w2 + b2
-        grads[f"l{i}.w2"] = np.einsum("btm,btd->md", h, dx)
+        grads[f"l{i}.w2"] = _wgrad(h, dx)
         grads[f"l{i}.b2"] = dx.sum((0, 1))
         dh_pre = (dx @ p[f"l{i}.w2"].T) * _gelu_grad(h_pre)
-        grads[f"l{i}.w1"] = np.einsum("btd,btm->dm", x_mid, dh_pre)
+        grads[f"l{i}.w1"] = _wgrad(x_mid, dh_pre)
         grads[f"l{i}.b1"] = dh_pre.sum((0, 1))
         dx_mid = dx + dh_pre @ p[f"l{i}.w1"].T
         # Attention branch: x_mid = x_in + (attn @ v) @ wo + bo
-        grads[f"l{i}.wo"] = np.einsum("btd,bte->de", ctx, dx_mid)
+        grads[f"l{i}.wo"] = _wgrad(ctx, dx_mid)
         grads[f"l{i}.bo"] = dx_mid.sum((0, 1))
         dctx = _split_heads(dx_mid @ p[f"l{i}.wo"].T, cfg.num_heads)
         dattn = dctx @ vh.transpose(0, 1, 3, 2)
@@ -319,10 +323,10 @@ def _gradient_detailed(params, batch, w) -> tuple[dict[str, np.ndarray], BatchLo
         dq = _merge_heads(dscores @ kh * scale)
         dk = _merge_heads(dscores.transpose(0, 1, 3, 2) @ qh * scale)
         dv = _merge_heads(dvh)
-        grads[f"l{i}.wq"] = np.einsum("btd,bte->de", x_in, dq)
+        grads[f"l{i}.wq"] = _wgrad(x_in, dq)
         grads[f"l{i}.bq"] = dq.sum((0, 1))
-        grads[f"l{i}.wk"] = np.einsum("btd,bte->de", x_in, dk)
-        grads[f"l{i}.wv"] = np.einsum("btd,bte->de", x_in, dv)
+        grads[f"l{i}.wk"] = _wgrad(x_in, dk)
+        grads[f"l{i}.wv"] = _wgrad(x_in, dv)
         grads[f"l{i}.bv"] = dv.sum((0, 1))
         dx = dx_mid + dq @ p[f"l{i}.wq"].T + dk @ p[f"l{i}.wk"].T + dv @ p[f"l{i}.wv"].T
 
@@ -447,15 +451,7 @@ def save_checkpoint(params: Parameters, path: str | Path, meta: dict | None = No
     """Write params + config as JSON; float64 repr round-trips bitwise."""
     doc = {
         "version": CHECKPOINT_VERSION,
-        "model_config": {
-            "vocab_size": params.config.vocab_size,
-            "context_len": params.config.context_len,
-            "embed_dim": params.config.embed_dim,
-            "num_heads": params.config.num_heads,
-            "num_layers": params.config.num_layers,
-            "mlp_hidden": params.config.mlp_hidden,
-            "seed": params.config.seed,
-        },
+        "model_config": asdict(params.config),
         "meta": meta or {},
         "arrays": {name: arr.tolist() for name, arr in params.arrays.items()},
     }

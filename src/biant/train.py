@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyTrainingSet, NumericalDivergence
+from .errors import ConfigError, ContextOverflow, EmptyTrainingSet, NumericalDivergence
 from .model import (
     LossWeights,
     ModelConfig,
@@ -153,6 +153,10 @@ def train(
     dataset = build_training_set(videos, cfg, space)
     if not dataset:
         raise EmptyTrainingSet("no training instances; videos shorter than one window")
+    longest = max(len(e.tokens) for e in dataset)
+    if longest > model_cfg.context_len:
+        raise ContextOverflow(f"longest training instance has {longest} tokens, "
+                              f"context_len is {model_cfg.context_len}")
 
     params = init_params(model_cfg)
     state = init_adam(params)

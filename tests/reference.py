@@ -1,11 +1,21 @@
-"""Independently written edit-distance oracles for the test suite.
+"""Slow-path oracles for the test suite.
 
-Kept separate from the package so the implementations under test and the
-oracles never share code: a full-matrix dynamic program and, for tiny
-inputs, breadth-first search over single-edit scripts.
+Edit distance: a full-matrix dynamic program and, for tiny inputs,
+breadth-first search over single-edit scripts. Neither shares code with the
+package.
+
+Gradient: the model's original training step, which applies the output head
+at every position to dense (B, T, V) logits and sums weight gradients with
+einsum. It shares only the forward trunk (embeddings plus blocks) with the
+package; the head, the loss and the whole backward pass are its own.
 """
 
+import math
 from collections import deque
+
+import numpy as np
+
+from biant.model import BatchLosses, _merge_heads, _split_heads, _stack_batch, _trunk
 
 
 def ref_edit_distance(a, b, transpositions=False):
@@ -58,3 +68,78 @@ def bfs_edit_distance(a, b, max_len=None):
                 seen.add(nxt)
                 queue.append((nxt, dist + 1))
     raise AssertionError("target unreachable; max_len cap too small")
+
+
+def _ref_gelu_grad(x):
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * x**3))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x**2)
+
+
+def _ref_logsumexp(logits):
+    m = logits.max(axis=-1, keepdims=True)
+    return m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+
+
+def ref_losses_from_logits(logits, tokens, mask, batch, w):
+    """Per-instance NLL from full (B, T, V) logits; weighted mean as objective."""
+    logp = logits - _ref_logsumexp(logits)
+    rows, cols = np.nonzero(mask)
+    nll = -logp[rows, cols - 1, tokens[rows, cols]]
+    per_instance = np.zeros(len(batch))
+    np.add.at(per_instance, rows, nll)
+    weights = np.array([w.for_direction(e.direction) for e in batch])
+    objective = float((weights * per_instance).mean())
+    return BatchLosses(objective, per_instance, weights, [e.direction for e in batch])
+
+
+def ref_gradient_detailed(params, batch, w):
+    """Exact gradient through the full-vocabulary head: (grads, BatchLosses)."""
+    cfg = params.config
+    p = params.arrays
+    tokens, mask = _stack_batch(batch)
+    b, t = tokens.shape
+    x_final, layers = _trunk(params, tokens, keep_cache=True)
+    logits = x_final @ p["w_out"] + p["b_out"]
+    losses = ref_losses_from_logits(logits, tokens, mask, batch, w)
+    scale = 1.0 / math.sqrt(cfg.embed_dim // cfg.num_heads)
+
+    probs = np.exp(logits - _ref_logsumexp(logits))
+    rows, cols = np.nonzero(mask)
+    coeff = losses.weights[rows] / b
+    dlogits = np.zeros_like(logits)
+    dlogits[rows, cols - 1, :] = probs[rows, cols - 1, :] * coeff[:, None]
+    dlogits[rows, cols - 1, tokens[rows, cols]] -= coeff
+
+    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    grads["w_out"] = np.einsum("btd,btv->dv", x_final, dlogits)
+    grads["b_out"] = dlogits.sum((0, 1))
+    dx = dlogits @ p["w_out"].T
+
+    for i in reversed(range(cfg.num_layers)):
+        x_in, qh, kh, vh, attn, ctx, x_mid, h_pre, h = layers[i]
+        grads[f"l{i}.w2"] = np.einsum("btm,btd->md", h, dx)
+        grads[f"l{i}.b2"] = dx.sum((0, 1))
+        dh_pre = (dx @ p[f"l{i}.w2"].T) * _ref_gelu_grad(h_pre)
+        grads[f"l{i}.w1"] = np.einsum("btd,btm->dm", x_mid, dh_pre)
+        grads[f"l{i}.b1"] = dh_pre.sum((0, 1))
+        dx_mid = dx + dh_pre @ p[f"l{i}.w1"].T
+        grads[f"l{i}.wo"] = np.einsum("btd,bte->de", ctx, dx_mid)
+        grads[f"l{i}.bo"] = dx_mid.sum((0, 1))
+        dctx = _split_heads(dx_mid @ p[f"l{i}.wo"].T, cfg.num_heads)
+        dattn = dctx @ vh.transpose(0, 1, 3, 2)
+        dvh = attn.transpose(0, 1, 3, 2) @ dctx
+        dscores = attn * (dattn - (dattn * attn).sum(-1, keepdims=True))
+        dq = _merge_heads(dscores @ kh * scale)
+        dk = _merge_heads(dscores.transpose(0, 1, 3, 2) @ qh * scale)
+        dv = _merge_heads(dvh)
+        grads[f"l{i}.wq"] = np.einsum("btd,bte->de", x_in, dq)
+        grads[f"l{i}.bq"] = dq.sum((0, 1))
+        grads[f"l{i}.wk"] = np.einsum("btd,bte->de", x_in, dk)
+        grads[f"l{i}.wv"] = np.einsum("btd,bte->de", x_in, dv)
+        grads[f"l{i}.bv"] = dv.sum((0, 1))
+        dx = dx_mid + dq @ p[f"l{i}.wq"].T + dk @ p[f"l{i}.wk"].T + dv @ p[f"l{i}.wv"].T
+
+    grads["pos_emb"][:t] = dx.sum(0)
+    np.add.at(grads["tok_emb"], tokens.reshape(-1), dx.reshape(-1, cfg.embed_dim))
+    return grads, losses

@@ -165,6 +165,24 @@ def test_train_divergence_exit_code(run_dir, tmp_path, capsys):
     assert "numerical divergence" in capsys.readouterr().err
 
 
+def test_train_context_overflow_exit_code(run_dir, tmp_path, capsys):
+    cfg_path, out = run_dir
+    small_dir = tmp_path / "ctx"
+    small_dir.mkdir()
+    for name in ("corpus.json", "corpus_meta.json"):
+        shutil.copy(out / name, small_dir / name)
+    doc = dict(SMALL_CONFIG)
+    doc["model"] = {**SMALL_CONFIG["model"], "context_len": 40}
+    small_cfg = tmp_path / "ctx.json"
+    small_cfg.write_text(json.dumps(doc))
+    code = main(["train", "--config", str(small_cfg), "--out", str(small_dir)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "ContextOverflow" in err and "context_len is 40" in err
+    assert "Traceback" not in err
+    assert not (small_dir / "checkpoint.json").exists()
+
+
 def test_gradcheck_command(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out

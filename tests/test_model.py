@@ -22,10 +22,13 @@ from biant.model import (
     save_checkpoint,
     task_loss,
 )
-from biant.prompt import SPECIAL_TOKEN, encode_instance
+from biant.model import _gradient_detailed
+from biant.prompt import SPECIAL_TOKEN, TokenSpace, encode_instance
 from biant.sequence import BACKWARD, FORWARD, WindowConfig, make_backward_instance, make_forward_instances
+from biant.vocab import scaled_vocabulary
 
 from conftest import make_video
+from reference import ref_gradient_detailed
 
 
 def small_batch(space, n=2):
@@ -140,12 +143,53 @@ def test_batch_padding_does_not_change_losses(tiny_params, space):
     video = make_video("v", 29, seed=30)
     insts = make_forward_instances(video, WindowConfig())
     encs = [encode_instance(space, i, SPECIAL_TOKEN) for i in insts]
-    short = encode_instance(space, make_backward_instance(insts[0], 4), SPECIAL_TOKEN)
+    short_inst = make_forward_instances(video, WindowConfig(n_obs_fwd=4, z_fwd=6, n_obs_bwd=3))[0]
+    short = encode_instance(space, make_backward_instance(short_inst, 3), SPECIAL_TOKEN)
+    assert len(short.tokens) < len(encs[0].tokens)
     w = LossWeights(1.0, 1.0)
     alone = batch_objective(tiny_params, [short], w)
     padded = batch_objective(tiny_params, [short, encs[0]], w)
     other = batch_objective(tiny_params, [encs[0]], w)
     assert math.isclose(padded, (alone + other) / 2.0, rel_tol=1e-12)
+
+
+def _equivalence_case(space, loss_on_structure):
+    """Generic-scale 2-layer model and a mixed batch: full-length forward and
+    backward instances plus right-padded short backward ones."""
+    cfg = ModelConfig(vocab_size=space.size, context_len=96, embed_dim=16,
+                      num_heads=2, num_layers=2, mlp_hidden=24, seed=9)
+    params = init_params(cfg)
+    rng = np.random.default_rng(10)
+    for name, arr in params.arrays.items():
+        params.arrays[name] = rng.normal(0.0, 0.3, arr.shape)
+    video = make_video("eq", 29, seed=41, num_verbs=space.num_verbs, num_nouns=space.num_nouns)
+    fwd = make_forward_instances(video, WindowConfig())
+    short = make_forward_instances(video, WindowConfig(n_obs_fwd=4, z_fwd=6, n_obs_bwd=3))
+    insts = [fwd[0], make_backward_instance(short[0], 3), make_backward_instance(fwd[0], 16),
+             short[1], make_backward_instance(fwd[1], 24)]
+    batch = [encode_instance(space, i, SPECIAL_TOKEN, loss_on_structure=loss_on_structure)
+             for i in insts]
+    assert len({len(e.tokens) for e in batch}) > 1
+    return params, batch
+
+
+@pytest.mark.parametrize("vocab_name", ["demo", "scaled"])
+@pytest.mark.parametrize("loss_on_structure", [True, False])
+def test_target_head_matches_full_head_oracle(space, vocab_name, loss_on_structure):
+    if vocab_name == "scaled":
+        space = TokenSpace(scaled_vocabulary())
+    params, batch = _equivalence_case(space, loss_on_structure)
+    w = LossWeights(1.0, 0.6)
+    fast, fast_losses = _gradient_detailed(params, batch, w)
+    slow, slow_losses = ref_gradient_detailed(params, batch, w)
+    assert fast.keys() == slow.keys()
+    for name in slow:
+        np.testing.assert_allclose(fast[name], slow[name], rtol=1e-12,
+                                   atol=1e-12 * np.abs(slow[name]).max(), err_msg=name)
+    np.testing.assert_allclose(fast_losses.per_instance, slow_losses.per_instance, rtol=1e-12)
+    assert math.isclose(fast_losses.objective, slow_losses.objective, rel_tol=1e-12)
+    assert math.isclose(batch_objective(params, batch, w), slow_losses.objective, rel_tol=1e-12)
+    assert fast_losses.directions == slow_losses.directions
 
 
 def test_gradient_zero_when_mask_empty(tiny_params, space):

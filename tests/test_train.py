@@ -1,9 +1,10 @@
 import csv
+import importlib
 
 import numpy as np
 import pytest
 
-from biant.errors import ConfigError, EmptyTrainingSet
+from biant.errors import ConfigError, ContextOverflow, EmptyTrainingSet
 from biant.model import LossWeights, ModelConfig, gradient, init_adam, init_params, optimizer_step
 from biant.prompt import CTRL_BWD, CTRL_FWD, encode_instance
 from biant.sequence import BACKWARD, FORWARD, WindowConfig, make_forward_instances
@@ -89,6 +90,17 @@ def test_train_empty_training_set(space):
     cfg = TrainConfig(epochs=1)
     with pytest.raises(EmptyTrainingSet):
         train([make_video("v0", 27, seed=6)], cfg, small_model_cfg(space), space)
+
+
+def test_train_rejects_context_overflow_before_init(space, monkeypatch):
+    def no_init(_cfg):
+        raise AssertionError("init_params ran before the context check")
+
+    monkeypatch.setattr(importlib.import_module("biant.train"), "init_params", no_init)
+    short = ModelConfig(vocab_size=space.size, context_len=85, embed_dim=8,
+                        num_heads=2, mlp_hidden=12)
+    with pytest.raises(ContextOverflow, match="86 tokens"):
+        train([make_video("v0", 28, seed=6)], TrainConfig(epochs=1), short, space)
 
 
 def test_train_is_deterministic(space):
