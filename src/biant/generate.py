@@ -1,9 +1,11 @@
 """Forward-only constrained decoding of K candidate futures.
 
 Inference always runs the forward task, whatever mix the model was trained
-on. At every step the next-token grammar mask is applied to the model's
-distribution before argmax/sampling, so every candidate parses into exactly
-z (verb, noun) actions by construction.
+on. The K candidates of one instance decode as one batch against a
+key/value cache. A target region is always z (verb, noun, SEP) groups with
+the last SEP replaced by EOS, so the grammar is a fixed schedule; each
+step's mask is applied to the model's distribution before argmax/sampling,
+so every candidate parses into exactly z (verb, noun) actions.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .prompt import (
     EXPECT_NOUN,
     EXPECT_SEP_OR_EOS,
     SEP,
-    EOS,
     TokenSpace,
     decode_actions,
     encode_preamble,
@@ -69,56 +70,46 @@ class CandidateSet:
 
 
 def renormalize_masked(dist: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Restrict a distribution to the admitted tokens and rescale to sum 1."""
+    """Restrict each distribution (last axis) to the admitted tokens, rescaled to sum 1."""
     kept = np.where(mask, dist, 0.0)
-    total = kept.sum()
-    if total <= 0.0:
+    total = kept.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
         raise EmptySupport("mask admits no token with nonzero probability")
     return kept / total
 
 
 def _candidate_rng(seed: int, instance_id: str, index: int) -> np.random.Generator:
     """Stream keyed by (seed, instance id, candidate index): order independent."""
-    digest = hashlib.sha256(instance_id.encode("utf-8")).digest()[:8]
-    return np.random.default_rng(
-        np.random.SeedSequence([seed, int.from_bytes(digest, "big"), index])
-    )
+    digest = int.from_bytes(hashlib.sha256(instance_id.encode("utf-8")).digest()[:8], "big")
+    return np.random.default_rng(np.random.SeedSequence([seed, digest, index]))
 
 
-def _decode_one(
-    params: Parameters,
-    space: TokenSpace,
-    prompt: list[int],
-    z: int,
-    greedy: bool,
-    temperature: float,
-    rng: np.random.Generator | None,
-) -> list[int]:
-    """Emit one grammar-masked target region; returns the emitted tokens."""
-    tokens = list(prompt)
-    emitted: list[int] = []
-    state = EXPECT_VERB
-    done = 0
-    while True:
-        arr = np.asarray(tokens, dtype=np.int64)
-        logits, _ = _forward_batch(params, arr[None, :], keep_cache=False)
-        mask = next_token_mask(space, state, done, z)
+def _decode_one(params: Parameters, space: TokenSpace, prompt: list[int], z: int,
+                temperature: float, rngs: list[np.random.Generator | None]) -> np.ndarray:
+    """Emit one grammar-masked target region per entry of ``rngs`` (None:
+    greedy) as one batch; returns the (len(rngs), 3z) emitted tokens. One
+    prefill of the shared prompt fills a key/value cache that every row then
+    extends by one token per step of the fixed grammar schedule."""
+    verb, noun, sep, eos = (next_token_mask(space, state, done, z) for state, done in (
+        (EXPECT_VERB, 0), (EXPECT_NOUN, 0), (EXPECT_SEP_OR_EOS, 0), (EXPECT_SEP_OR_EOS, z)))
+    schedule = [verb, noun, sep] * (z - 1) + [verb, noun, eos]
+    kv: list = []
+    logits, _ = _forward_batch(params, np.asarray([prompt], dtype=np.int64), False, kv=kv)
+    n = len(rngs)
+    kv = [(np.repeat(k, n, axis=0), np.repeat(v, n, axis=0)) for k, v in kv]
+    logits = np.repeat(logits[:, -1], n, axis=0)
+    emitted = np.zeros((n, 3 * z), dtype=np.int64)
+    for step, mask in enumerate(schedule):
+        if step:
+            logits = _forward_batch(params, emitted[:, step - 1 : step], False, kv=kv)[0][:, -1]
         # Mask before the softmax: at tiny temperatures the full-vocab softmax
         # underflows to a one-hot that may lie outside the grammar.
-        scores = np.where(mask, logits[0, -1] / temperature, -np.inf)
+        scores = np.where(mask, logits / temperature, -np.inf)
         dist = renormalize_masked(_softmax(scores), mask)
-        tok = int(np.argmax(dist)) if greedy else int(rng.choice(dist.size, p=dist))
-        tokens.append(tok)
-        emitted.append(tok)
-        if state == EXPECT_VERB:
-            state = EXPECT_NOUN
-        elif state == EXPECT_NOUN:
-            done += 1
-            state = EXPECT_SEP_OR_EOS
-        else:
-            if tok == EOS:
-                return emitted
-            state = EXPECT_VERB
+        for row, rng in enumerate(rngs):
+            emitted[row, step] = (np.argmax(dist[row]) if rng is None
+                                  else rng.choice(mask.size, p=dist[row]))
+    return emitted
 
 
 def generate_candidates(
@@ -136,13 +127,10 @@ def generate_candidates(
     prompt = [BOS] + encode_preamble(space, mode, FORWARD)
     for a in observed:
         prompt.extend((space.verb_token(a.verb), space.noun_token(a.noun), SEP))
-    candidates = []
-    for index in range(cfg.k):
-        greedy = cfg.strategy == GREEDY_FIRST and index == 0
-        rng = None if greedy else _candidate_rng(cfg.seed, instance_id, index)
-        emitted = _decode_one(params, space, prompt, z, greedy, cfg.temperature, rng)
-        candidates.append(tuple(decode_actions(space, emitted)))
-    return CandidateSet(instance_id=instance_id, candidates=candidates)
+    rngs = [None if cfg.strategy == GREEDY_FIRST and index == 0
+            else _candidate_rng(cfg.seed, instance_id, index) for index in range(cfg.k)]
+    emitted = _decode_one(params, space, prompt, z, cfg.temperature, rngs)
+    return CandidateSet(instance_id, [tuple(decode_actions(space, row)) for row in emitted])
 
 
 def dump_candidates(path: str | Path, sets: list[CandidateSet]) -> None:

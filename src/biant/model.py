@@ -9,10 +9,10 @@ Per-instance losses are teacher-forced cross-entropies summed over the
 target positions; forward and backward anticipation instances use the same
 loss, weighted alpha and beta respectively in the joint objective.
 
-Training and decoding share one trunk (embeddings plus blocks). Decoding
-applies the output head at every position; the loss and its gradient apply
-it only at the target positions. Each weight gradient is one 2-D matmul
-over the flattened batch positions.
+Training and decoding share one trunk (embeddings plus blocks; decoding
+steps it against a key/value cache). Decoding applies the output head at
+every position; the loss and its gradient apply it only at the target
+positions. Each weight gradient is one 2-D matmul over the batch positions.
 """
 
 from __future__ import annotations
@@ -155,18 +155,21 @@ def _wgrad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
-def _trunk(params: Parameters, tokens: np.ndarray, keep_cache: bool):
+def _trunk(params: Parameters, tokens: np.ndarray, keep_cache: bool, kv=None):
     """Embeddings plus blocks on an int (B, T) batch: the final hidden states,
-    and each layer's activations for the backward pass if keep_cache."""
+    and each layer's activations for the backward pass if keep_cache. With
+    ``kv``, a list of per-layer (keys, values) (empty to start one), the batch
+    continues the cached positions and appends its keys and values."""
     cfg = params.config
     p = params.arrays
     b, t = tokens.shape
-    if t > cfg.context_len:
-        raise ContextOverflow(f"sequence length {t} exceeds context length {cfg.context_len}")
+    past = kv[0][0].shape[2] if kv else 0
+    if past + t > cfg.context_len:
+        raise ContextOverflow(f"sequence length {past + t} exceeds context length {cfg.context_len}")
     scale = 1.0 / math.sqrt(cfg.embed_dim // cfg.num_heads)
-    causal_bias = np.triu(np.full((t, t), -np.inf), k=1)
+    causal_bias = np.triu(np.full((t, past + t), -np.inf), k=past + 1)
 
-    x = p["tok_emb"][tokens] + p["pos_emb"][:t]
+    x = p["tok_emb"][tokens] + p["pos_emb"][past : past + t]
     layers = []
     for i in range(cfg.num_layers):
         x_in = x
@@ -176,6 +179,10 @@ def _trunk(params: Parameters, tokens: np.ndarray, keep_cache: bool):
         qh = _split_heads(q, cfg.num_heads)
         kh = _split_heads(k, cfg.num_heads)
         vh = _split_heads(v, cfg.num_heads)
+        if kv is not None:  # replace layer i's cache entry, or append it
+            if past:
+                kh, vh = np.concatenate((kv[i][0], kh), 2), np.concatenate((kv[i][1], vh), 2)
+            kv[i : i + 1] = [(kh, vh)]
         attn = _softmax(qh @ kh.transpose(0, 1, 3, 2) * scale + causal_bias)
         ctx = _merge_heads(attn @ vh)
         x_mid = x_in + ctx @ p[f"l{i}.wo"] + p[f"l{i}.bo"]
@@ -187,9 +194,10 @@ def _trunk(params: Parameters, tokens: np.ndarray, keep_cache: bool):
     return x, (layers if keep_cache else None)
 
 
-def _forward_batch(params: Parameters, tokens: np.ndarray, keep_cache: bool):
-    """Full-vocabulary logits at every position of an int (B, T) batch."""
-    x, cache = _trunk(params, tokens, keep_cache)
+def _forward_batch(params: Parameters, tokens: np.ndarray, keep_cache: bool, kv=None):
+    """Full-vocabulary logits at every position of an int (B, T) batch
+    (after the ``kv`` cache's positions, if given; see ``_trunk``)."""
+    x, cache = _trunk(params, tokens, keep_cache, kv)
     return x @ params.arrays["w_out"] + params.arrays["b_out"], cache
 
 
@@ -461,18 +469,22 @@ def save_checkpoint(params: Parameters, path: str | Path, meta: dict | None = No
 
 
 def load_checkpoint(path: str | Path) -> tuple[Parameters, dict]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ParseError(f"unsupported checkpoint version: {doc.get('version')!r}")
-    cfg = ModelConfig(**doc["model_config"])
-    reference = init_params(cfg)
-    arrays = {}
-    for name, expected in reference.arrays.items():
-        if name not in doc["arrays"]:
-            raise ParseError(f"checkpoint missing array {name!r}")
-        arr = np.asarray(doc["arrays"][name], dtype=np.float64)
-        if arr.shape != expected.shape:
-            raise ParseError(f"array {name!r} has shape {arr.shape}, expected {expected.shape}")
-        arrays[name] = arr
-    return Parameters(cfg, arrays), doc.get("meta", {})
+    """Parameters and meta; ParseError unless the file holds a model config
+    and every array at its configured shape with only finite values."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if doc.get("version") != CHECKPOINT_VERSION:
+            raise ParseError(f"unsupported checkpoint version: {doc.get('version')!r}")
+        reference = init_params(ModelConfig(**doc["model_config"]))
+        arrays = {name: np.asarray(doc["arrays"][name], dtype=np.float64)
+                  for name in reference.arrays}
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
+        raise ParseError(f"malformed checkpoint {path}: {type(err).__name__}: {err}") from err
+    for name, arr in arrays.items():
+        expected = reference.arrays[name].shape
+        if arr.shape != expected:
+            raise ParseError(f"array {name!r} has shape {arr.shape}, expected {expected}")
+        if not np.isfinite(arr).all():
+            raise ParseError(f"array {name!r} has non-finite values")
+    return Parameters(reference.config, arrays), doc.get("meta", {})

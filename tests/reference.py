@@ -8,14 +8,23 @@ Gradient: the model's original training step, which applies the output head
 at every position to dense (B, T, V) logits and sums weight gradients with
 einsum. It shares only the forward trunk (embeddings plus blocks) with the
 package; the head, the loss and the whole backward pass are its own.
+
+Decoding: the original decoder, which reruns the full forward over the
+whole prefix for every emitted token, one candidate at a time, and tracks
+the output grammar with a state machine. It shares only ``_forward_batch``
+with the package; the grammar, the masked softmax, the preamble and the
+per-candidate random streams are its own.
 """
 
+import hashlib
 import math
 from collections import deque
 
 import numpy as np
 
-from biant.model import BatchLosses, _merge_heads, _split_heads, _stack_batch, _trunk
+from biant.model import BatchLosses, _forward_batch, _merge_heads, _split_heads, _stack_batch, _trunk
+from biant.prompt import BOS, CTRL_FWD, EOS, SEP, SPECIAL_TOKEN
+from biant.vocab import ActionLabel
 
 
 def ref_edit_distance(a, b, transpositions=False):
@@ -143,3 +152,53 @@ def ref_gradient_detailed(params, batch, w):
     grads["pos_emb"][:t] = dx.sum(0)
     np.add.at(grads["tok_emb"], tokens.reshape(-1), dx.reshape(-1, cfg.embed_dim))
     return grads, losses
+
+
+def _ref_decode_one(params, space, prompt, z, greedy, temperature, rng):
+    """One candidate: a full forward over the prefix per emitted token, with
+    the grammar state (expected verb, noun, or separator) tracked by hand."""
+    tokens = list(prompt)
+    actions = []
+    state = "verb"
+    while True:
+        logits, _ = _forward_batch(params, np.asarray([tokens], dtype=np.int64), False)
+        mask = np.zeros(space.size, dtype=bool)
+        if state == "verb":
+            mask[space.verb_start : space.noun_start] = True
+        elif state == "noun":
+            mask[space.noun_start : space.size] = True
+        else:
+            mask[SEP if len(actions) < z else EOS] = True
+        scores = np.where(mask, logits[0, -1] / temperature, -np.inf)
+        e = np.exp(scores - scores.max())
+        dist = np.where(mask, e / e.sum(), 0.0)
+        dist = dist / dist.sum()
+        tok = int(np.argmax(dist)) if greedy else int(rng.choice(dist.size, p=dist))
+        tokens.append(tok)
+        if state == "verb":
+            verb, state = tok - space.verb_start, "noun"
+        elif state == "noun":
+            actions.append(ActionLabel(verb, tok - space.noun_start))
+            state = "sep"
+        elif tok == EOS:
+            return tuple(actions)
+        else:
+            state = "verb"
+
+
+def ref_generate_candidates(params, space, observed, z, cfg, mode, instance_id=""):
+    """The k candidate futures, decoded one at a time on their own streams."""
+    if mode == SPECIAL_TOKEN:
+        preamble = [CTRL_FWD]
+    else:
+        preamble = list(range(space.fwd_desc_start, space.fwd_desc_start + space.desc_len_fwd))
+    prompt = [BOS] + preamble
+    for a in observed:
+        prompt.extend((space.verb_start + a.verb, space.noun_start + a.noun, SEP))
+    digest = int.from_bytes(hashlib.sha256(instance_id.encode("utf-8")).digest()[:8], "big")
+    candidates = []
+    for index in range(cfg.k):
+        greedy = cfg.strategy == "greedy_first" and index == 0
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, digest, index]))
+        candidates.append(_ref_decode_one(params, space, prompt, z, greedy, cfg.temperature, rng))
+    return candidates

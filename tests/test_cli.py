@@ -83,6 +83,32 @@ def test_eval_missing_checkpoint(run_dir, tmp_path, capsys):
     assert "missing file" in capsys.readouterr().err
 
 
+def _drop_model_config(text):
+    doc = json.loads(text)
+    del doc["model_config"]
+    return json.dumps(doc)
+
+
+def _nan_in_w_out(text):
+    doc = json.loads(text)
+    doc["arrays"]["w_out"][0][0] = float("nan")
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("corrupt", [_drop_model_config, lambda text: text[: len(text) // 2],
+                                     _nan_in_w_out], ids=["no_model_config", "truncated", "nan_w_out"])
+def test_eval_undecodable_checkpoint_exit_code(run_dir, tmp_path, capsys, corrupt):
+    cfg_path, out = run_dir
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(corrupt((out / "checkpoint.json").read_text()))
+    code = main(["eval", "--config", str(cfg_path), "--out", str(out),
+                 "--checkpoint", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "ParseError" in err
+    assert "Traceback" not in err
+
+
 def test_train_without_corpus(tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path / "empty")]) == 2
     assert "missing file" in capsys.readouterr().err

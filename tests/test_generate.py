@@ -7,6 +7,7 @@ from biant.errors import ConfigError, EmptySupport
 from biant.generate import (
     ALL_SAMPLED,
     GREEDY_FIRST,
+    STRATEGIES,
     CandidateSet,
     GenerationConfig,
     dump_candidates,
@@ -14,10 +15,11 @@ from biant.generate import (
     renormalize_masked,
 )
 from biant.model import ModelConfig, init_params
-from biant.prompt import DETAILED_DESCRIPTION, SPECIAL_TOKEN
-from biant.vocab import ActionLabel
+from biant.prompt import DETAILED_DESCRIPTION, SPECIAL_TOKEN, TokenSpace
+from biant.vocab import ActionLabel, scaled_vocabulary
 
 from conftest import make_video
+from reference import ref_generate_candidates
 
 
 def observed_prefix(n=4, seed=40):
@@ -50,6 +52,51 @@ def test_renormalize_masked_examples():
         renormalize_masked(dist, np.zeros(4, dtype=bool))
     with pytest.raises(EmptySupport):
         renormalize_masked(np.array([0.0, 0.0, 1.0]), np.array([True, True, False]))
+
+
+def test_renormalize_masked_rows_match_one_dimensional_calls():
+    rng = np.random.default_rng(2)
+    dist = rng.dirichlet(np.ones(9), size=5)
+    masks = rng.random((5, 9)) < 0.5
+    masks[:, 0] = True
+    rows = renormalize_masked(dist, masks)
+    shared = renormalize_masked(dist, masks[0])
+    for r in range(5):
+        assert np.array_equal(rows[r], renormalize_masked(dist[r], masks[r]))
+        assert np.array_equal(shared[r], renormalize_masked(dist[r], masks[0]))
+    masks[3] = False
+    with pytest.raises(EmptySupport):
+        renormalize_masked(dist, masks)
+    dist[1] = np.eye(9)[8]
+    with pytest.raises(EmptySupport):
+        renormalize_masked(dist, np.arange(9) < 8)
+
+
+@pytest.mark.parametrize("mode", [SPECIAL_TOKEN, DETAILED_DESCRIPTION])
+@pytest.mark.parametrize("vocab_name", ["demo", "scaled"])
+def test_batched_cached_decoder_matches_full_prefix_oracle(space, vocab_name, mode):
+    """Same candidates as decoding one candidate at a time over the full
+    prefix, for every strategy, temperature, K and z in the matrix."""
+    if vocab_name == "scaled":
+        space = TokenSpace(scaled_vocabulary())
+    cfg = ModelConfig(vocab_size=space.size, context_len=96, embed_dim=8,
+                      num_heads=2, num_layers=2, mlp_hidden=12, seed=1)
+    params = init_params(cfg)
+    rng = np.random.default_rng(0)
+    for name, arr in params.arrays.items():
+        params.arrays[name] = rng.normal(0.0, 0.4, arr.shape)
+    obs = observed_prefix()
+    distinct = set()
+    for strategy in STRATEGIES:
+        for temperature in (0.05, 1.0, 3.0):
+            for k in (1, 7):
+                for z in (1, 20):
+                    gen = GenerationConfig(k=k, temperature=temperature, strategy=strategy, seed=5)
+                    fast = generate_candidates(params, space, obs, z, gen, mode, "v:t0003")
+                    slow = ref_generate_candidates(params, space, obs, z, gen, mode, "v:t0003")
+                    assert fast.candidates == slow, (strategy, temperature, k, z)
+                    distinct.update(slow)
+    assert len(distinct) > 20
 
 
 def test_generate_shapes_and_lengths(tiny_params, space):

@@ -22,7 +22,7 @@ from biant.model import (
     save_checkpoint,
     task_loss,
 )
-from biant.model import _gradient_detailed
+from biant.model import _forward_batch, _gradient_detailed
 from biant.prompt import SPECIAL_TOKEN, TokenSpace, encode_instance
 from biant.sequence import BACKWARD, FORWARD, WindowConfig, make_backward_instance, make_forward_instances
 from biant.vocab import scaled_vocabulary
@@ -324,3 +324,51 @@ def test_checkpoint_rejects_bad_documents(tmp_path, tiny_params):
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_undecodable_files(tmp_path, tiny_params):
+    path = tmp_path / "ck.json"
+    save_checkpoint(tiny_params, path)
+    text = path.read_text()
+    doc = json.loads(text)
+
+    path.write_text(text[: len(text) // 2])
+    with pytest.raises(ParseError, match="JSONDecodeError"):
+        load_checkpoint(path)
+
+    path.write_text(json.dumps({k: v for k, v in doc.items() if k != "model_config"}))
+    with pytest.raises(ParseError, match="model_config"):
+        load_checkpoint(path)
+
+    for bad in (float("nan"), float("inf")):
+        doc["arrays"]["w_out"][1][2] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="non-finite"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("vocab_name", ["demo", "scaled"])
+def test_kv_cache_steps_match_full_forward(space, vocab_name):
+    """Prefill then one token at a time: every step's last-position logits
+    match one full forward over the whole prefix."""
+    if vocab_name == "scaled":
+        space = TokenSpace(scaled_vocabulary())
+    cfg = ModelConfig(vocab_size=space.size, context_len=40, embed_dim=8,
+                      num_heads=2, num_layers=2, mlp_hidden=12, seed=4)
+    params = init_params(cfg)
+    rng = np.random.default_rng(4)
+    for name, arr in params.arrays.items():
+        params.arrays[name] = rng.normal(0.0, 0.4, arr.shape)
+    tokens = rng.integers(0, space.size, (3, cfg.context_len))
+    kv = []
+    logits, _ = _forward_batch(params, tokens[:, :5], False, kv=kv)
+    full, _ = _forward_batch(params, tokens[:, :5], False)
+    assert np.array_equal(logits, full)
+    for t in range(5, cfg.context_len):
+        step, _ = _forward_batch(params, tokens[:, t : t + 1], False, kv=kv)
+        full, _ = _forward_batch(params, tokens[:, : t + 1], False)
+        assert step.shape == (3, 1, space.size)
+        np.testing.assert_allclose(step[:, 0], full[:, -1], rtol=0, atol=1e-12)
+    assert [k.shape for layer in kv for k in layer] == [(3, 2, cfg.context_len, 4)] * 4
+    with pytest.raises(ContextOverflow):
+        _forward_batch(params, tokens[:, :1], False, kv=kv)
