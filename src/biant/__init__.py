@@ -44,7 +44,7 @@ from .prompt import (
     TokenSpace,
     decode_actions,
     encode_instance,
-    next_token_mask,
+    target_masks,
 )
 from .sequence import (
     ACTION_AXIS,
@@ -57,7 +57,6 @@ from .sequence import (
     WindowConfig,
     make_backward_instance,
     make_forward_instances,
-    project,
 )
 from .train import TrainConfig, TrainingLog, build_training_set, train
 from .vocab import ActionLabel, Vocabulary, demo_vocabulary, load_vocabulary, scaled_vocabulary

@@ -8,6 +8,7 @@ run is reproducible from the artifacts alone. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from .config import (
     train_config,
 )
 from .data import generate_corpus, load_corpus, save_annotations, save_corpus_meta
-from .errors import BiantError, ConfigError, NumericalDivergence
+from .errors import BiantError, ConfigError, NumericalDivergence, ParseError
 from .evaluation import ABLATION_GRIDS, EvalReport, evaluate, run_ablation
 from .model import (
     gradient_check,
@@ -185,6 +186,15 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 4
 
 
+def _train_losses(path: Path) -> list[float]:
+    """The per-epoch ``mean_loss`` column of a train_log.csv."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            return [float(row["mean_loss"]) for row in csv.DictReader(fh)]
+        except (csv.Error, KeyError, TypeError, ValueError) as err:
+            raise ParseError(f"{path}: bad train log: {type(err).__name__}: {err}") from err
+
+
 def cmd_report(args) -> int:
     cfg = _resolved(args)
     out = Path(cfg.out)
@@ -200,11 +210,9 @@ def cmd_report(args) -> int:
         shown = True
     log_path = out / "train_log.csv"
     if log_path.exists():
-        lines = log_path.read_text(encoding="utf-8").strip().splitlines()
-        if len(lines) > 1:
-            first, last = lines[1].split(","), lines[-1].split(",")
-            print(f"train: {len(lines) - 1} epochs, "
-                  f"loss {float(first[1]):.4f} -> {float(last[1]):.4f}")
+        losses = _train_losses(log_path)
+        if losses:
+            print(f"train: {len(losses)} epochs, loss {losses[0]:.4f} -> {losses[-1]:.4f}")
             shown = True
     for grid in ABLATION_GRIDS:
         txt = out / f"ablation_{grid}.txt"

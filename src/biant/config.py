@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import ScenarioConfig
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, load_json
 from .evaluation import BY_Z, EdConfig
 from .generate import GREEDY_FIRST, GenerationConfig
 from .model import LossWeights, ModelConfig
@@ -72,20 +72,32 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
         if not self.ablate_seeds:
             raise ConfigError("ablate_seeds must be nonempty")
+        if self.scenario.video_len < self.window.window_len:
+            raise ConfigError(
+                f"video_len {self.scenario.video_len} cannot fit the configured "
+                f"{self.window.window_len}-segment window"
+            )
 
+
+def _names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+# Nested sections are RunConfig fields holding a dataclass; flat sections
+# group the RunConfig fields that feed one component's config.
+_NESTED = {"scenario": ScenarioConfig, "window": WindowConfig, "weights": LossWeights}
+_FLAT = {"train": TrainConfig, "model": ModelConfig, "gen": GenerationConfig, "ed": EdConfig}
+_TOP_FIELDS = ("out", "seed", "vocab", "preamble", "eval_stride")
+# Section key -> RunConfig field; every section key not named here is its own field.
+_RENAMED = {"seeds": "ablate_seeds"}
 
 _SECTION_FIELDS = {
-    "scenario": ("num_scene_types", "motifs_per_scene", "motif_len_range", "video_len",
-                 "num_videos", "coupling", "noise_rate"),
-    "window": ("n_obs_fwd", "z_fwd", "n_obs_bwd", "stride"),
-    "weights": ("alpha", "beta"),
-    "train": ("epochs", "batch_size", "lr", "label_noise", "loss_on_structure"),
-    "model": ("embed_dim", "num_heads", "num_layers", "mlp_hidden", "context_len"),
-    "gen": ("k", "temperature", "strategy"),
-    "ed": ("allow_transpositions", "normalizer"),
+    **{section: tuple(n for n in _names(cls) if n != "seed") for section, cls in _NESTED.items()},
+    **{section: tuple(n for n in _names(RunConfig)
+                      if n in _names(cls) and n not in _TOP_FIELDS and n not in _NESTED)
+       for section, cls in _FLAT.items()},
     "ablate": ("seeds", "workers"),
 }
-_TOP_FIELDS = ("out", "seed", "vocab", "preamble", "eval_stride")
 
 
 def _check_keys(section: str, given: dict, allowed: tuple) -> None:
@@ -111,54 +123,28 @@ def run_config_from_document(doc: dict) -> RunConfig:
         if not isinstance(body, dict):
             raise ConfigError(f"config section {section!r} must be an object")
         _check_keys(section, body, allowed)
-        if section == "scenario":
-            part = dict(body)
-            if "motif_len_range" in part:
-                part["motif_len_range"] = tuple(part["motif_len_range"])
-            kwargs["scenario"] = ScenarioConfig(**part)
-        elif section == "window":
-            kwargs["window"] = WindowConfig(**body)
-        elif section == "weights":
-            kwargs["weights"] = LossWeights(**body)
-        elif section == "ablate":
-            if "seeds" in body:
-                kwargs["ablate_seeds"] = [int(s) for s in body["seeds"]]
-            if "workers" in body:
-                kwargs["workers"] = int(body["workers"])
+        if section in _NESTED:
+            kwargs[section] = _NESTED[section](**body)
         else:
-            kwargs.update(body)
+            kwargs.update((_RENAMED.get(k, k), v) for k, v in body.items())
     return RunConfig(**kwargs)
 
 
+def _section(cfg: RunConfig, section: str) -> dict:
+    source = getattr(cfg, section) if section in _NESTED else cfg
+    return {k: getattr(source, _RENAMED.get(k, k)) for k in _SECTION_FIELDS[section]}
+
+
 def run_config_to_document(cfg: RunConfig) -> dict:
-    return {
-        "out": cfg.out,
-        "seed": cfg.seed,
-        "vocab": cfg.vocab,
-        "preamble": cfg.preamble,
-        "eval_stride": cfg.eval_stride,
-        "scenario": {k: getattr(cfg.scenario, k) if k != "motif_len_range"
-                     else list(cfg.scenario.motif_len_range)
-                     for k in _SECTION_FIELDS["scenario"]},
-        "window": {k: getattr(cfg.window, k) for k in _SECTION_FIELDS["window"]},
-        "weights": {"alpha": cfg.weights.alpha, "beta": cfg.weights.beta},
-        "train": {k: getattr(cfg, k) for k in _SECTION_FIELDS["train"]},
-        "model": {k: getattr(cfg, k) for k in _SECTION_FIELDS["model"]},
-        "gen": {"k": cfg.k, "temperature": cfg.temperature, "strategy": cfg.strategy},
-        "ed": {"allow_transpositions": cfg.allow_transpositions, "normalizer": cfg.normalizer},
-        "ablate": {"seeds": list(cfg.ablate_seeds), "workers": cfg.workers},
-    }
+    doc = {k: getattr(cfg, k) for k in _TOP_FIELDS}
+    doc.update((section, _section(cfg, section)) for section in _SECTION_FIELDS)
+    return doc
 
 
 def load_run_config(path: str | Path | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"{path}: not valid JSON: {err}") from err
-    return run_config_from_document(doc)
+    return run_config_from_document(load_json(path))
 
 
 def save_run_config(cfg: RunConfig, path: str | Path) -> None:
@@ -168,28 +154,18 @@ def save_run_config(cfg: RunConfig, path: str | Path) -> None:
 
 
 def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
-    """Apply CLI-flag values (None means flag absent) on top of a config."""
-    out = cfg
-    simple = {k: v for k, v in overrides.items()
-              if k in ("out", "seed", "eval_stride", "k", "workers") and v is not None}
-    if simple:
-        out = dataclasses.replace(out, **simple)
-    if overrides.get("preamble") is not None:
-        name = overrides["preamble"]
-        if name not in PREAMBLE_ALIASES:
-            raise ConfigError(f"unknown preamble mode: {name!r}")
-        out = dataclasses.replace(out, preamble=PREAMBLE_ALIASES[name])
-    alpha, beta = overrides.get("alpha"), overrides.get("beta")
-    if alpha is not None or beta is not None:
-        out = dataclasses.replace(out, weights=LossWeights(
-            alpha if alpha is not None else out.weights.alpha,
-            beta if beta is not None else out.weights.beta,
-        ))
-    if overrides.get("n_obs_bwd") is not None:
-        out = dataclasses.replace(
-            out, window=dataclasses.replace(out.window, n_obs_bwd=overrides["n_obs_bwd"])
-        )
-    return out
+    """Apply CLI-flag values (None means flag absent) on top of a config; a
+    flag named after a field of a nested section sets that field."""
+    given = {k: v for k, v in overrides.items() if v is not None}
+    if "preamble" in given:
+        if given["preamble"] not in PREAMBLE_ALIASES:
+            raise ConfigError(f"unknown preamble mode: {given['preamble']!r}")
+        given["preamble"] = PREAMBLE_ALIASES[given["preamble"]]
+    for section in _NESTED:
+        part = {k: given.pop(k) for k in _SECTION_FIELDS[section] if k in given}
+        if part:
+            given[section] = dataclasses.replace(getattr(cfg, section), **part)
+    return dataclasses.replace(cfg, **given)
 
 
 def resolve_vocab(cfg: RunConfig) -> Vocabulary:
@@ -206,29 +182,20 @@ def scenario_config(cfg: RunConfig) -> ScenarioConfig:
 
 
 def model_config(cfg: RunConfig, space: TokenSpace) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=space.size, context_len=cfg.context_len, embed_dim=cfg.embed_dim,
-        num_heads=cfg.num_heads, num_layers=cfg.num_layers, mlp_hidden=cfg.mlp_hidden,
-        seed=cfg.seed + 1,
-    )
+    return ModelConfig(vocab_size=space.size, seed=cfg.seed + 1, **_section(cfg, "model"))
 
 
 def train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        window=cfg.window, weights=cfg.weights, preamble=cfg.preamble,
-        epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-        seed=cfg.seed + 2, label_noise=cfg.label_noise,
-        loss_on_structure=cfg.loss_on_structure,
-    )
+    return TrainConfig(window=cfg.window, weights=cfg.weights, preamble=cfg.preamble,
+                       seed=cfg.seed + 2, **_section(cfg, "train"))
 
 
 def gen_config(cfg: RunConfig) -> GenerationConfig:
-    return GenerationConfig(k=cfg.k, temperature=cfg.temperature,
-                            strategy=cfg.strategy, seed=cfg.seed + 3)
+    return GenerationConfig(seed=cfg.seed + 3, **_section(cfg, "gen"))
 
 
 def ed_config(cfg: RunConfig) -> EdConfig:
-    return EdConfig(allow_transpositions=cfg.allow_transpositions, normalizer=cfg.normalizer)
+    return EdConfig(**_section(cfg, "ed"))
 
 
 def eval_window(cfg: RunConfig) -> WindowConfig:

@@ -14,14 +14,15 @@ with text labels resolved against a vocabulary on load.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientVocabulary, ParseError, UnknownLabel
-from .sequence import AnnotatedVideo, WindowConfig
+from .errors import ConfigError, InsufficientVocabulary, ParseError, UnknownLabel, load_json
+from .sequence import AnnotatedVideo
 from .vocab import ActionLabel, Vocabulary
 
 TRAIN_FRACTION = 0.7
@@ -42,30 +43,14 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.num_scene_types, self.motifs_per_scene, self.num_videos) < 1:
+        self.motif_len_range = tuple(self.motif_len_range)
+        if min(self.num_scene_types, self.motifs_per_scene, self.num_videos, self.video_len) < 1:
             raise ConfigError("counts must be >= 1")
         lo, hi = self.motif_len_range
         if not 1 <= lo <= hi:
             raise ConfigError(f"bad motif_len_range: {self.motif_len_range}")
         if not (0.0 <= self.coupling <= 1.0 and 0.0 <= self.noise_rate <= 1.0):
             raise ConfigError("coupling and noise_rate must be in [0, 1]")
-        if self.video_len < WindowConfig().window_len:
-            raise ConfigError(
-                f"video_len {self.video_len} cannot fit the default "
-                f"{WindowConfig().window_len}-segment window"
-            )
-
-    def as_dict(self) -> dict:
-        return {
-            "num_scene_types": self.num_scene_types,
-            "motifs_per_scene": self.motifs_per_scene,
-            "motif_len_range": list(self.motif_len_range),
-            "video_len": self.video_len,
-            "num_videos": self.num_videos,
-            "coupling": self.coupling,
-            "noise_rate": self.noise_rate,
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -205,11 +190,7 @@ def save_annotations(videos: list[AnnotatedVideo], vocab: Vocabulary, path: str 
 
 def load_annotations(path: str | Path, vocab: Vocabulary) -> list[AnnotatedVideo]:
     """Parse the annotation array; label text is resolved to indices."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"{path}: not valid JSON: {err}") from err
+    doc = load_json(path)
     if not isinstance(doc, list):
         raise ParseError(f"{path}: expected a JSON array of videos")
     videos = []
@@ -232,7 +213,7 @@ def load_annotations(path: str | Path, vocab: Vocabulary) -> list[AnnotatedVideo
 
 def save_corpus_meta(corpus: SyntheticCorpus, path: str | Path) -> None:
     doc = {
-        "config": corpus.config.as_dict(),
+        "config": dataclasses.asdict(corpus.config),
         "split": {"train": corpus.train_ids, "val": corpus.val_ids, "test": corpus.test_ids},
         "sanity": corpus.sanity,
     }
@@ -245,20 +226,16 @@ def load_corpus(annotations_path: str | Path, meta_path: str | Path,
                 vocab: Vocabulary) -> SyntheticCorpus:
     """Rebuild a corpus from its annotation file and metadata sidecar."""
     videos = load_annotations(annotations_path, vocab)
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = load_json(meta_path)
     try:
-        cfg_doc = dict(meta["config"])
-        cfg_doc["motif_len_range"] = tuple(cfg_doc["motif_len_range"])
-        cfg = ScenarioConfig(**cfg_doc)
         split = meta["split"]
-    except (KeyError, TypeError) as err:
-        raise ParseError(f"{meta_path}: bad corpus metadata: {err}") from err
-    return SyntheticCorpus(
-        videos=videos,
-        train_ids=list(split["train"]),
-        val_ids=list(split["val"]),
-        test_ids=list(split["test"]),
-        sanity=dict(meta.get("sanity", {})),
-        config=cfg,
-    )
+        return SyntheticCorpus(
+            videos=videos,
+            train_ids=list(split["train"]),
+            val_ids=list(split["val"]),
+            test_ids=list(split["test"]),
+            sanity=dict(meta.get("sanity", {})),
+            config=ScenarioConfig(**meta["config"]),
+        )
+    except (KeyError, TypeError, ValueError) as err:
+        raise ParseError(f"{meta_path}: bad corpus metadata: {type(err).__name__}: {err}") from err

@@ -1,8 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one JSON reader.
 
 Everything raised on purpose derives from BiantError so callers (and the CLI)
 can distinguish expected failures from bugs.
 """
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
 
 
 class BiantError(Exception):
@@ -71,3 +76,13 @@ class EmptyTrainingSet(BiantError):
 
 class InsufficientVocabulary(BiantError):
     """The vocabulary is too small for the requested scenario."""
+
+
+def load_json(path: str | Path):
+    """Parse a JSON file; undecodable content raises ParseError, a missing
+    file stays FileNotFoundError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+            raise ParseError(f"{path}: not valid JSON: {type(err).__name__}: {err}") from err

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyReference, EmptyTestSet
+from .errors import ConfigError, EmptyReference, EmptyTestSet, ParseError, load_json
 from .generate import CandidateSet, GenerationConfig, generate_candidates
 from .model import LossWeights, ModelConfig, Parameters
 from .prompt import DETAILED_DESCRIPTION, SPECIAL_TOKEN, TokenSpace
@@ -170,12 +170,14 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "EvalReport":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        records = [EvalRecord(**r) for r in doc["records"]]
-        return cls(records=records, mean_verb=doc["means"]["verb"],
-                   mean_noun=doc["means"]["noun"], mean_action=doc["means"]["action"],
-                   config=doc.get("config", {}))
+        doc = load_json(path)
+        try:
+            means = doc["means"]
+            return cls(records=[EvalRecord(**r) for r in doc["records"]],
+                       mean_verb=float(means["verb"]), mean_noun=float(means["noun"]),
+                       mean_action=float(means["action"]), config=doc.get("config", {}))
+        except (KeyError, TypeError, ValueError) as err:
+            raise ParseError(f"{path}: bad eval report: {type(err).__name__}: {err}") from err
 
     def summary_csv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -212,14 +214,8 @@ def evaluate(
     for inst in instances:
         score = score_instance(candidate_fn(inst), inst.future, cfg)
         records.append(EvalRecord(instance_id=inst.instance_id, **vars(score)))
-    config = {
-        "ed": {"allow_transpositions": cfg.allow_transpositions, "normalizer": cfg.normalizer},
-        "gen": {"k": gen.k, "temperature": gen.temperature,
-                "strategy": gen.strategy, "seed": gen.seed},
-        "window": {"n_obs_fwd": window.n_obs_fwd, "z_fwd": window.z_fwd,
-                   "n_obs_bwd": window.n_obs_bwd, "stride": window.stride},
-        "preamble": mode,
-    }
+    config = {"ed": dataclasses.asdict(cfg), "gen": dataclasses.asdict(gen),
+              "window": dataclasses.asdict(window), "preamble": mode}
     return EvalReport(
         records=records,
         mean_verb=float(np.mean([r.ed_verb for r in records])),

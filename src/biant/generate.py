@@ -2,10 +2,9 @@
 
 Inference always runs the forward task, whatever mix the model was trained
 on. The K candidates of one instance decode as one batch against a
-key/value cache. A target region is always z (verb, noun, SEP) groups with
-the last SEP replaced by EOS, so the grammar is a fixed schedule; each
-step's mask is applied to the model's distribution before argmax/sampling,
-so every candidate parses into exactly z (verb, noun) actions.
+key/value cache, one step per row of ``prompt.target_masks``; each row is
+applied to the model's distribution before argmax/sampling, so every
+candidate parses into exactly z (verb, noun) actions.
 """
 
 from __future__ import annotations
@@ -19,17 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptySupport
 from .model import Parameters, _forward_batch, _softmax
-from .prompt import (
-    BOS,
-    EXPECT_VERB,
-    EXPECT_NOUN,
-    EXPECT_SEP_OR_EOS,
-    SEP,
-    TokenSpace,
-    decode_actions,
-    encode_preamble,
-    next_token_mask,
-)
+from .prompt import BOS, SEP, TokenSpace, decode_actions, encode_preamble, target_masks
 from .sequence import FORWARD
 from .vocab import ActionLabel
 
@@ -89,10 +78,8 @@ def _decode_one(params: Parameters, space: TokenSpace, prompt: list[int], z: int
     """Emit one grammar-masked target region per entry of ``rngs`` (None:
     greedy) as one batch; returns the (len(rngs), 3z) emitted tokens. One
     prefill of the shared prompt fills a key/value cache that every row then
-    extends by one token per step of the fixed grammar schedule."""
-    verb, noun, sep, eos = (next_token_mask(space, state, done, z) for state, done in (
-        (EXPECT_VERB, 0), (EXPECT_NOUN, 0), (EXPECT_SEP_OR_EOS, 0), (EXPECT_SEP_OR_EOS, z)))
-    schedule = [verb, noun, sep] * (z - 1) + [verb, noun, eos]
+    extends by one token per row of the grammar schedule."""
+    schedule = target_masks(space, z)
     kv: list = []
     logits, _ = _forward_batch(params, np.asarray([prompt], dtype=np.int64), False, kv=kv)
     n = len(rngs)
@@ -122,8 +109,6 @@ def generate_candidates(
     instance_id: str = "",
 ) -> CandidateSet:
     """Decode k constrained candidates from an observed action prefix."""
-    if z < 1:
-        raise ConfigError("z must be >= 1")
     prompt = [BOS] + encode_preamble(space, mode, FORWARD)
     for a in observed:
         prompt.extend((space.verb_token(a.verb), space.noun_token(a.noun), SEP))

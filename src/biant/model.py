@@ -30,6 +30,7 @@ from .errors import (
     NumericalDivergence,
     ParseError,
     ShapeMismatch,
+    load_json,
 )
 from .prompt import EncodedInstance
 from .sequence import BACKWARD, FORWARD
@@ -472,8 +473,7 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, dict]:
     """Parameters and meta; ParseError unless the file holds a model config
     and every array at its configured shape with only finite values."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = load_json(path)
         if doc.get("version") != CHECKPOINT_VERSION:
             raise ParseError(f"unsupported checkpoint version: {doc.get('version')!r}")
         reference = init_params(ModelConfig(**doc["model_config"]))

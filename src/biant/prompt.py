@@ -12,6 +12,11 @@ Every encoded instance is BOS, preamble, then (verb, noun, SEP) per observed
 action, then (verb, noun, SEP) per future action with the final SEP replaced
 by EOS. The loss mask is true exactly on the future-region tokens, i.e. the
 positions the model is trained to emit.
+
+That output grammar is a fixed positional schedule: position p of a z-action
+target region holds a verb if p % 3 == 0, a noun if p % 3 == 1 and SEP
+otherwise, except that the last position holds EOS. ``target_masks`` states
+it for decoding and ``decode_actions`` checks it when parsing.
 """
 
 from __future__ import annotations
@@ -35,11 +40,6 @@ NUM_RESERVED = 6
 SPECIAL_TOKEN = "special_token"
 DETAILED_DESCRIPTION = "detailed_description"
 PREAMBLE_MODES = (SPECIAL_TOKEN, DETAILED_DESCRIPTION)
-
-EXPECT_VERB = "expect_verb"
-EXPECT_NOUN = "expect_noun"
-EXPECT_SEP_OR_EOS = "expect_sep_or_eos"
-
 
 @dataclass
 class TokenSpace:
@@ -180,64 +180,49 @@ def encode_instance(
     )
 
 
+def target_masks(space: TokenSpace, z: int) -> np.ndarray:
+    """(3z, |space|) boolean schedule: row p admits the tokens position p of
+    a z-action target region may hold, so the last row admits only EOS."""
+    if z < 1:
+        raise ConfigError("z must be >= 1")
+    masks = np.zeros((3 * z, space.size), dtype=bool)
+    masks[0::3, space.verb_start : space.noun_start] = True
+    masks[1::3, space.noun_start :] = True
+    masks[2::3, SEP] = True
+    masks[-1, SEP], masks[-1, EOS] = False, True
+    return masks
+
+
 def decode_actions(space: TokenSpace, generated) -> list[ActionLabel]:
     """Parse a target-region emission back into labels.
 
-    Expects repeating (verb, noun, SEP) groups closed by (verb, noun, EOS).
+    Each token is checked against its slot ``pos % 3``: verb, noun, then SEP,
+    or EOS as the very last token.
     """
     actions: list[ActionLabel] = []
-    state = EXPECT_VERB
-    verb = -1
     tokens = [int(t) for t in generated]
     for pos, tok in enumerate(tokens):
-        if state == EXPECT_VERB:
+        slot = pos % 3
+        if slot == 0:
             if not space.is_verb_token(tok):
                 raise GrammarViolation(
                     f"expected a verb token at position {pos}, got {space.token_name(tok)}"
                 )
-            verb = space.verb_of(tok)
-            state = EXPECT_NOUN
-        elif state == EXPECT_NOUN:
+        elif slot == 1:
             if not space.is_noun_token(tok):
                 raise GrammarViolation(
                     f"expected a noun token at position {pos}, got {space.token_name(tok)}"
                 )
-            actions.append(ActionLabel(verb, space.noun_of(tok)))
-            state = EXPECT_SEP_OR_EOS
-        else:
-            if tok == SEP:
-                state = EXPECT_VERB
-            elif tok == EOS:
-                if pos != len(tokens) - 1:
-                    raise GrammarViolation(f"tokens continue after EOS at position {pos}")
-                return actions
-            else:
-                raise GrammarViolation(
-                    f"expected SEP or EOS at position {pos}, got {space.token_name(tok)}"
-                )
+            actions.append(ActionLabel(space.verb_of(tokens[pos - 1]), space.noun_of(tok)))
+        elif tok == EOS:
+            if pos != len(tokens) - 1:
+                raise GrammarViolation(f"tokens continue after EOS at position {pos}")
+            return actions
+        elif tok != SEP:
+            raise GrammarViolation(
+                f"expected SEP or EOS at position {pos}, got {space.token_name(tok)}"
+            )
     raise TruncatedOutput("emission ended without EOS")
-
-
-def next_token_mask(space: TokenSpace, state: str, emitted_actions: int, target_len: int) -> np.ndarray:
-    """Boolean mask over the token space of what the grammar admits next.
-
-    In the separator state, SEP is admitted while fewer than ``target_len``
-    actions are complete and EOS exactly when the count is reached, so every
-    constrained generation has length exactly ``target_len``.
-    """
-    mask = np.zeros(space.size, dtype=bool)
-    if state == EXPECT_VERB:
-        mask[space.verb_start : space.noun_start] = True
-    elif state == EXPECT_NOUN:
-        mask[space.noun_start : space.size] = True
-    elif state == EXPECT_SEP_OR_EOS:
-        if emitted_actions < target_len:
-            mask[SEP] = True
-        else:
-            mask[EOS] = True
-    else:
-        raise ConfigError(f"unknown grammar state: {state!r}")
-    return mask
 
 
 def dump_encoding(space: TokenSpace, enc: EncodedInstance) -> str:

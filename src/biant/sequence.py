@@ -133,17 +133,3 @@ def make_backward_instance(fwd: AnticipationInstance, n_obs_bwd: int) -> Anticip
         stop_index=fwd.stop_index,
     )
 
-
-def project(seq: tuple[ActionLabel, ...] | list[ActionLabel], axis: str, num_nouns: int) -> list[int]:
-    """Project labels onto one scoring axis.
-
-    verb/noun yield the raw indices; action yields the composite id
-    ``verb * num_nouns + noun`` so distinct pairs stay distinct.
-    """
-    if axis == VERB_AXIS:
-        return [a.verb for a in seq]
-    if axis == NOUN_AXIS:
-        return [a.noun for a in seq]
-    if axis == ACTION_AXIS:
-        return [a.verb * num_nouns + a.noun for a in seq]
-    raise ConfigError(f"unknown projection axis: {axis!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import DuplicateName, EmptyVocabulary, ParseError, UnknownLabel
+from .errors import DuplicateName, EmptyVocabulary, ParseError, UnknownLabel, load_json
 
 
 class ActionLabel(NamedTuple):
@@ -92,14 +92,7 @@ def load_vocabulary(source: str | Path | dict) -> Vocabulary:
     Index assignment equals document order. Duplicates raise DuplicateName,
     empty lists raise EmptyVocabulary, schema problems raise ParseError.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{source}: not valid JSON ({exc})") from exc
-    else:
-        doc = source
+    doc = load_json(source) if isinstance(source, (str, Path)) else source
     if not isinstance(doc, dict) or "verbs" not in doc or "nouns" not in doc:
         raise ParseError("vocabulary document must be an object with 'verbs' and 'nouns'")
     verbs, nouns = doc["verbs"], doc["nouns"]

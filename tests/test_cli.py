@@ -109,6 +109,65 @@ def test_eval_undecodable_checkpoint_exit_code(run_dir, tmp_path, capsys, corrup
     assert "Traceback" not in err
 
 
+def _assert_invalid_data(code, capsys, *needles):
+    err = capsys.readouterr().err
+    assert code == 3
+    assert all(needle in err for needle in needles), err
+    assert "Traceback" not in err
+
+
+def test_train_truncated_corpus_meta_exit_code(run_dir, tmp_path, capsys):
+    cfg_path, out = run_dir
+    bad = tmp_path / "run"
+    bad.mkdir()
+    shutil.copy(out / "corpus.json", bad / "corpus.json")
+    text = (out / "corpus_meta.json").read_text()
+    (bad / "corpus_meta.json").write_text(text[: len(text) // 2])
+    code = main(["train", "--config", str(cfg_path), "--out", str(bad)])
+    _assert_invalid_data(code, capsys, "ParseError", "corpus_meta.json", "not valid JSON")
+    assert not (bad / "checkpoint.json").exists()
+
+
+def _non_numeric_first_loss(text):
+    header, first, *rest = text.splitlines()
+    cells = first.split(",")
+    cells[1] = "lots"
+    return "\n".join([header, ",".join(cells), *rest]) + "\n"
+
+
+@pytest.mark.parametrize("name, corrupt, needle", [
+    ("eval_report.json", lambda text: text[: len(text) // 2], "not valid JSON"),
+    ("eval_report.json", lambda text: json.dumps({"records": []}), "bad eval report"),
+    ("train_log.csv", _non_numeric_first_loss, "bad train log"),
+], ids=["truncated_eval_report", "eval_report_without_means", "non_numeric_train_loss"])
+def test_report_undecodable_artifact_exit_code(run_dir, tmp_path, capsys, name, corrupt, needle):
+    cfg_path, out = run_dir
+    bad = tmp_path / "run"
+    bad.mkdir()
+    EvalReport(records=[], mean_verb=0.5, mean_noun=0.5, mean_action=0.5,
+               config={}).to_json(bad / "eval_report.json")
+    shutil.copy(out / "train_log.csv", bad / "train_log.csv")
+    (bad / name).write_text(corrupt((bad / name).read_text()))
+    code = main(["report", "--config", str(cfg_path), "--out", str(bad)])
+    _assert_invalid_data(code, capsys, "ParseError", name, needle)
+
+
+def test_video_len_checked_against_configured_window(tmp_path, capsys):
+    fits = {**SMALL_CONFIG, "scenario": {"num_videos": 12, "video_len": 20},
+            "window": {"n_obs_fwd": 4, "z_fwd": 10, "n_obs_bwd": 8, "stride": 6}}
+    fits_path = tmp_path / "fits.json"
+    fits_path.write_text(json.dumps(fits))
+    for command in ("gen-data", "train"):
+        assert main([command, "--config", str(fits_path), "--out", str(tmp_path / "fits")]) == 0
+    short = {**SMALL_CONFIG, "scenario": {"num_videos": 12, "video_len": 30},
+             "window": {"n_obs_fwd": 10, "z_fwd": 25, "stride": 6}}
+    short_path = tmp_path / "short.json"
+    short_path.write_text(json.dumps(short))
+    code = main(["gen-data", "--config", str(short_path), "--out", str(tmp_path / "short")])
+    _assert_invalid_data(code, capsys, "ConfigError", "video_len 30", "35-segment window")
+    assert not (tmp_path / "short").exists()
+
+
 def test_train_without_corpus(tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path / "empty")]) == 2
     assert "missing file" in capsys.readouterr().err

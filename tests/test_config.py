@@ -17,9 +17,11 @@ from biant.config import (
     scenario_config,
     train_config,
 )
+from biant.data import ScenarioConfig
 from biant.errors import ConfigError, ParseError
 from biant.model import LossWeights
 from biant.prompt import DETAILED_DESCRIPTION, SPECIAL_TOKEN, TokenSpace
+from biant.sequence import WindowConfig
 
 
 def test_defaults_are_valid():
@@ -39,6 +41,19 @@ def test_run_config_validation():
         RunConfig(workers=0)
     with pytest.raises(ConfigError):
         RunConfig(ablate_seeds=[])
+
+
+def test_video_len_checked_against_configured_window():
+    with pytest.raises(ConfigError, match="video_len 27 cannot fit the configured 28-segment"):
+        RunConfig(scenario=ScenarioConfig(video_len=27))
+    RunConfig(scenario=ScenarioConfig(video_len=28))
+    RunConfig(scenario=ScenarioConfig(video_len=20),
+              window=WindowConfig(n_obs_fwd=4, z_fwd=10, n_obs_bwd=8))
+    with pytest.raises(ConfigError, match="35-segment window"):
+        RunConfig(scenario=ScenarioConfig(video_len=30),
+                  window=WindowConfig(n_obs_fwd=10, z_fwd=25))
+    with pytest.raises(ConfigError, match="48-segment window"):
+        run_config_from_document({"window": {"z_fwd": 40}})
 
 
 def test_document_round_trip():

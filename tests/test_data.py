@@ -26,8 +26,8 @@ def test_scenario_config_validation():
     with pytest.raises(ConfigError):
         ScenarioConfig(noise_rate=-0.1)
     with pytest.raises(ConfigError):
-        ScenarioConfig(video_len=27)
-    ScenarioConfig(video_len=28)
+        ScenarioConfig(video_len=0)
+    assert ScenarioConfig(motif_len_range=[2, 3]).motif_len_range == (2, 3)
 
 
 def test_corpus_shape_and_split(vocab):

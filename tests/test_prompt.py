@@ -10,9 +10,6 @@ from biant.prompt import (
     CTRL_FWD,
     DETAILED_DESCRIPTION,
     EOS,
-    EXPECT_NOUN,
-    EXPECT_SEP_OR_EOS,
-    EXPECT_VERB,
     PAD,
     SEP,
     SPECIAL_TOKEN,
@@ -21,7 +18,7 @@ from biant.prompt import (
     dump_encoding,
     encode_instance,
     encode_preamble,
-    next_token_mask,
+    target_masks,
 )
 from biant.sequence import BACKWARD, FORWARD, AnticipationInstance, WindowConfig, make_backward_instance, make_forward_instances
 from biant.vocab import ActionLabel, demo_vocabulary
@@ -155,6 +152,14 @@ def test_decode_actions_examples(space):
         decode_actions(space, [space.verb_token(0), space.noun_token(1), EOS, SEP])
     with pytest.raises(GrammarViolation):
         decode_actions(space, [SEP])
+    with pytest.raises(GrammarViolation, match="verb token at position 0"):
+        decode_actions(space, [space.noun_token(1), space.noun_token(1), EOS])
+    with pytest.raises(GrammarViolation, match="noun token at position 1"):
+        decode_actions(space, [space.verb_token(0), space.verb_token(1), EOS])
+    with pytest.raises(GrammarViolation, match="SEP or EOS at position 2"):
+        decode_actions(space, [space.verb_token(0), space.noun_token(1), space.verb_token(2)])
+    with pytest.raises(GrammarViolation, match="after EOS"):
+        decode_actions(space, [space.verb_token(0), space.noun_token(1), EOS, space.verb_token(2)])
 
 
 @given(seed=st.integers(0, 200), n_obs_bwd=st.integers(1, 27),
@@ -171,17 +176,36 @@ def test_decode_encode_round_trip(seed, n_obs_bwd, mode, backward):
     assert tuple(decode_actions(space, enc.target_region())) == inst.future
 
 
-def test_next_token_mask_states(space):
-    m = next_token_mask(space, EXPECT_VERB, 0, 20)
-    assert int(m.sum()) == 8 and m[space.verb_start : space.noun_start].all()
-    m = next_token_mask(space, EXPECT_NOUN, 0, 20)
-    assert int(m.sum()) == 12 and m[space.noun_start :].all()
-    m = next_token_mask(space, EXPECT_SEP_OR_EOS, 20, 20)
-    assert int(m.sum()) == 1 and m[EOS]
-    m = next_token_mask(space, EXPECT_SEP_OR_EOS, 3, 20)
-    assert int(m.sum()) == 1 and m[SEP]
+def test_target_masks_schedule(space):
+    masks = target_masks(space, 20)
+    assert masks.shape == (60, space.size)
+    verbs = np.zeros(space.size, dtype=bool)
+    verbs[space.verb_start : space.noun_start] = True
+    nouns = np.zeros(space.size, dtype=bool)
+    nouns[space.noun_start :] = True
+    sep, eos = np.eye(space.size, dtype=bool)[[SEP, EOS]]
+    for pos, row in enumerate(masks):
+        expected = (verbs, nouns, eos if pos == 59 else sep)[pos % 3]
+        assert (row == expected).all(), pos
+    assert int(verbs.sum()) == 8 and int(nouns.sum()) == 12
+    assert masks[:, EOS].nonzero()[0].tolist() == [59]
+    one = target_masks(space, 1)
+    assert one.shape == (3, space.size)
+    assert (one[0] == verbs).all() and (one[1] == nouns).all() and (one[2] == eos).all()
     with pytest.raises(ConfigError):
-        next_token_mask(space, "expect_miracle", 0, 20)
+        target_masks(space, 0)
+
+
+@given(seed=st.integers(0, 200), z=st.integers(1, 20))
+@settings(max_examples=40, deadline=None)
+def test_target_masks_admit_every_encoded_target(seed, z):
+    space = TokenSpace(demo_vocabulary())
+    video = make_video("v", 8 + z, seed=seed)
+    inst = make_forward_instances(video, WindowConfig(z_fwd=z, n_obs_bwd=1))[0]
+    target = encode_instance(space, inst, SPECIAL_TOKEN).target_region()
+    masks = target_masks(space, z)
+    assert masks[np.arange(3 * z), target].all()
+    assert int(masks[:, SEP].sum()) == z - 1 and int(masks[:, EOS].sum()) == 1
 
 
 def test_dump_encoding_readable(space):

@@ -4,17 +4,13 @@ from hypothesis import strategies as st
 
 from biant.errors import ConfigError, InvalidBackwardSplit
 from biant.sequence import (
-    ACTION_AXIS,
     BACKWARD,
     FORWARD,
-    NOUN_AXIS,
-    VERB_AXIS,
     AnnotatedVideo,
     AnticipationInstance,
     WindowConfig,
     make_backward_instance,
     make_forward_instances,
-    project,
 )
 from biant.vocab import ActionLabel
 
@@ -136,19 +132,3 @@ def test_backward_reversal_invariants(n_obs_bwd, seed):
         assert len(bwd.observed) + len(bwd.future) == 28
         assert len(bwd.future) == 8 + 20 - n_obs_bwd
 
-
-def test_project_axes():
-    labels = seq((0, 1), (2, 0))
-    assert project(labels, ACTION_AXIS, num_nouns=2) == [1, 4]
-    assert project(labels, VERB_AXIS, num_nouns=2) == [0, 2]
-    assert project(labels, NOUN_AXIS, num_nouns=2) == [1, 0]
-    assert project((), ACTION_AXIS, num_nouns=2) == []
-    with pytest.raises(ConfigError):
-        project(labels, "speed", num_nouns=2)
-
-
-def test_project_action_ids_injective():
-    nouns = 12
-    ids = {project([ActionLabel(v, n)], ACTION_AXIS, num_nouns=nouns)[0]
-           for v in range(8) for n in range(nouns)}
-    assert len(ids) == 8 * nouns
