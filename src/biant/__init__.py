@@ -10,14 +10,11 @@ from .config import RunConfig, load_run_config, save_run_config
 from .data import ScenarioConfig, SyntheticCorpus, generate_corpus, load_annotations, save_annotations
 from .errors import BiantError
 from .evaluation import (
-    ABLATION_GRIDS,
-    AblationTable,
     EdConfig,
     EvalReport,
     edit_distance,
     evaluate,
     normalized_ed,
-    run_ablation,
     score_instance,
 )
 from .generate import CandidateSet, GenerationConfig, generate_candidates, renormalize_masked

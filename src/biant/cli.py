@@ -1,8 +1,9 @@
 """Command-line pipeline: gen-data -> train -> eval (+ ablate, gradcheck, report).
 
 Every command echoes its fully-resolved config into the run directory, so a
-run is reproducible from the artifacts alone. Exit codes: 0 success,
-2 missing file, 3 invalid config or data, 4 numerical divergence.
+run is reproducible from the artifacts alone; an ablation cell is one such run,
+in memory. Exit codes: 0 success, 2 missing file, 3 invalid config or data,
+4 numerical divergence.
 """
 
 from __future__ import annotations
@@ -11,7 +12,11 @@ import argparse
 import csv
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .config import (
     RunConfig,
@@ -28,14 +33,14 @@ from .config import (
 )
 from .data import generate_corpus, load_corpus, save_annotations, save_corpus_meta
 from .errors import BiantError, ConfigError, NumericalDivergence, ParseError
-from .evaluation import ABLATION_GRIDS, EvalReport, evaluate, run_ablation
+from .evaluation import AXES, EvalReport, evaluate
 from .model import (
     gradient_check,
     load_checkpoint,
     make_gradcheck_case,
     save_checkpoint,
 )
-from .prompt import TokenSpace, dump_encoding
+from .prompt import DETAILED_DESCRIPTION, SPECIAL_TOKEN, TokenSpace, dump_encoding
 from .train import build_training_set, train
 from .vocab import save_vocabulary
 
@@ -71,16 +76,113 @@ def _load_corpus(cfg: RunConfig, out: Path):
 
 
 def _max_workers(cfg: RunConfig) -> int:
-    cap = os.environ.get("BIANT_THREADS")
-    if cap is None:
-        return cfg.workers
-    try:
-        cap = int(cap)
-    except ValueError:
-        raise ConfigError(f"BIANT_THREADS must be an integer, got {cap!r}") from None
-    if cap < 1:
-        raise ConfigError("BIANT_THREADS must be >= 1")
-    return min(cfg.workers, cap)
+    """cfg.workers, capped by the BIANT_THREADS environment variable if it is set."""
+    cap = os.environ.get("BIANT_THREADS", str(cfg.workers)).strip()
+    if not cap.isdecimal() or int(cap) < 1:
+        raise ConfigError(f"BIANT_THREADS must be an integer >= 1, got {cap!r}")
+    return min(cfg.workers, int(cap))
+
+
+OBS_INTERVAL = "obs_interval"
+LOSS_WEIGHTS = "loss_weights"
+TOKEN_TYPE = "token_type"
+
+ABLATION_GRIDS: dict[str, list] = {
+    OBS_INTERVAL: [4, 8, 16, 24],
+    LOSS_WEIGHTS: [(1.0, 0.5), (1.0, 0.75), (1.0, 1.0)],
+    TOKEN_TYPE: [DETAILED_DESCRIPTION, SPECIAL_TOKEN],
+}
+
+
+@dataclass
+class AblationRow:
+    """One grid cell: (verb, noun, action) mean ED per master seed, in seed order."""
+
+    label: str
+    per_seed: list[tuple[float, float, float]]
+
+    @property
+    def mean(self) -> dict[str, float]:
+        return {a: float(col.mean()) for a, col in zip(AXES, np.asarray(self.per_seed).T)}
+
+    @property
+    def std(self) -> dict[str, float]:
+        return {a: float(col.std()) for a, col in zip(AXES, np.asarray(self.per_seed).T)}
+
+
+@dataclass
+class AblationTable:
+    """One ablation layout: rows = grid cells, columns = per-axis mean/std."""
+
+    grid: str
+    seeds: list[int]
+    rows: list[AblationRow]
+
+    def to_csv(self, path: str | Path) -> None:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([self.grid, "verb_mean", "verb_std", "noun_mean", "noun_std",
+                             "action_mean", "action_std"])
+            for row in self.rows:
+                writer.writerow([row.label] + [repr(getattr(row, stat)[a]) for a in AXES
+                                               for stat in ("mean", "std")])
+
+    def render(self) -> str:
+        """Aligned text table, one row per cell, mean+-std per axis."""
+        header = [self.grid, "verb", "noun", "action"]
+        lines = [[row.label] + [f"{row.mean[a]:.3f}+-{row.std[a]:.3f}" for a in AXES]
+                 for row in self.rows]
+        widths = [max(len(r[c]) for r in [header] + lines) for c in range(4)]
+        out = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
+        out.append("  ".join("-" * w for w in widths))
+        out.extend("  ".join(v.ljust(w) for v, w in zip(line, widths)) for line in lines)
+        return "\n".join(out)
+
+
+def _cell(grid: str, value) -> tuple[str, dict]:
+    """Row label and the CLI-flag overrides of one grid cell."""
+    if grid == OBS_INTERVAL:
+        return str(value), {"n_obs_bwd": value}
+    if grid == LOSS_WEIGHTS:
+        alpha, beta = value
+        return f"alpha={alpha:g} beta={beta:g}", {"alpha": alpha, "beta": beta}
+    if grid == TOKEN_TYPE:
+        return str(value), {"preamble": value}
+    raise ConfigError(f"unknown ablation grid: {grid!r}")
+
+
+def _run_cell(job) -> tuple[float, float, float]:
+    """gen-data, train and eval at one master seed, in memory."""
+    cfg, overrides, seed = job
+    cfg = apply_overrides(cfg, seed=seed, **overrides)
+    vocab = resolve_vocab(cfg)
+    space = TokenSpace(vocab)
+    corpus = generate_corpus(vocab, scenario_config(cfg))
+    params, _ = train(corpus.train, train_config(cfg), model_config(cfg, space), space)
+    report = evaluate(params, space, corpus.test, eval_window(cfg),
+                      gen_config(cfg), ed_config(cfg), cfg.preamble)
+    return report.mean_verb, report.mean_noun, report.mean_action
+
+
+def run_ablation(grid: str, cfg: RunConfig, seeds, values=None, workers: int = 1) -> AblationTable:
+    """One in-memory run per grid cell per master seed, aggregated into a table."""
+    if grid not in ABLATION_GRIDS:
+        raise ConfigError(f"unknown ablation grid: {grid!r} (one of {sorted(ABLATION_GRIDS)})")
+    seeds = list(seeds)
+    values = ABLATION_GRIDS[grid] if values is None else values
+    if not seeds or not values:
+        raise ConfigError("need at least one seed and one grid cell")
+    cells = [_cell(grid, value) for value in values]
+    jobs = [(cfg, overrides, seed) for _, overrides in cells for seed in seeds]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_cell, jobs))
+    else:
+        results = [_run_cell(job) for job in jobs]
+    n = len(seeds)
+    rows = [AblationRow(label, results[i * n : (i + 1) * n])
+            for i, (label, _) in enumerate(cells)]
+    return AblationTable(grid=grid, seeds=seeds, rows=rows)
 
 
 def cmd_gen_data(args) -> int:
@@ -153,21 +255,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _resolved(args)
     out = _prepare_out(cfg, f"ablate_{args.grid}")
-    vocab, corpus = _load_corpus(cfg, out)
-    space = TokenSpace(vocab)
-    table = run_ablation(
-        args.grid,
-        base=train_config(cfg),
-        model_cfg=model_config(cfg, space),
-        space=space,
-        train_videos=corpus.train,
-        test_videos=corpus.test,
-        seeds=list(cfg.ablate_seeds),
-        eval_window=eval_window(cfg),
-        gen=gen_config(cfg),
-        ed_cfg=ed_config(cfg),
-        max_workers=_max_workers(cfg),
-    )
+    table = run_ablation(args.grid, cfg, cfg.ablate_seeds, workers=_max_workers(cfg))
     table.to_csv(out / f"ablation_{args.grid}.csv")
     rendered = table.render()
     (out / f"ablation_{args.grid}.txt").write_text(rendered + "\n", encoding="utf-8")

@@ -110,19 +110,42 @@ def _check_keys(section: str, given: dict, allowed: tuple) -> None:
         raise ConfigError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
 
 
+def _fits(value, default) -> bool:
+    """Whether a document value has the JSON type of a field's default: bool
+    for bool, int (not bool) for int, int or float for float, str for str, a
+    list of ints for a list, and of the same length for a tuple."""
+    if isinstance(default, (list, tuple)):
+        return (isinstance(value, (list, tuple)) and all(_fits(v, 0) for v in value)
+                and (isinstance(default, list) or len(value) == len(default)))
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
+def _check_types(prefix: str, given: dict, defaults: dict) -> None:
+    for key, value in given.items():
+        if not _fits(value, defaults[key]):
+            raise ConfigError(f"config key {prefix + key!r} must have the type of its default "
+                              f"{json.dumps(defaults[key])}, got {json.dumps(value)}")
+
+
 def run_config_from_document(doc: dict) -> RunConfig:
-    """Build a RunConfig from a parsed JSON object; unknown keys are errors."""
+    """Build a RunConfig from a parsed JSON object; unknown keys and values
+    of the wrong type are errors."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     unknown = set(doc) - set(_TOP_FIELDS) - set(_SECTION_FIELDS)
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
+    defaults = run_config_to_document(RunConfig())
     kwargs: dict = {k: doc[k] for k in _TOP_FIELDS if k in doc}
+    _check_types("", kwargs, defaults)
     for section, allowed in _SECTION_FIELDS.items():
         body = doc.get(section, {})
         if not isinstance(body, dict):
             raise ConfigError(f"config section {section!r} must be an object")
         _check_keys(section, body, allowed)
+        _check_types(f"{section}.", body, defaults[section])
         if section in _NESTED:
             kwargs[section] = _NESTED[section](**body)
         else:

@@ -1,4 +1,4 @@
-"""Edit-distance evaluation and the ablation harness.
+"""Edit-distance evaluation.
 
 Scoring protocol: decode K candidate futures per test instance, project
 prediction and ground truth onto the verb / noun / action axes, and take
@@ -14,16 +14,15 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, EmptyReference, EmptyTestSet, ParseError, load_json
 from .generate import CandidateSet, GenerationConfig, generate_candidates
-from .model import LossWeights, ModelConfig, Parameters
-from .prompt import DETAILED_DESCRIPTION, SPECIAL_TOKEN, TokenSpace
+from .model import Parameters
+from .prompt import TokenSpace
 from .sequence import (
     ACTION_AXIS,
     NOUN_AXIS,
@@ -32,7 +31,6 @@ from .sequence import (
     WindowConfig,
     make_forward_instances,
 )
-from .train import TrainConfig, train
 
 AXES = (VERB_AXIS, NOUN_AXIS, ACTION_AXIS)
 
@@ -107,10 +105,6 @@ class InstanceScore:
     best_verb: int
     best_noun: int
     best_action: int
-
-    def value(self, axis: str) -> float:
-        return {VERB_AXIS: self.ed_verb, NOUN_AXIS: self.ed_noun,
-                ACTION_AXIS: self.ed_action}[axis]
 
 
 def score_instance(cands: CandidateSet, gt, cfg: EdConfig | None = None) -> InstanceScore:
@@ -223,132 +217,3 @@ def evaluate(
         mean_action=float(np.mean([r.ed_action for r in records])),
         config=config,
     )
-
-
-OBS_INTERVAL = "obs_interval"
-LOSS_WEIGHTS = "loss_weights"
-TOKEN_TYPE = "token_type"
-
-ABLATION_GRIDS: dict[str, list] = {
-    OBS_INTERVAL: [4, 8, 16, 24],
-    LOSS_WEIGHTS: [(1.0, 0.5), (1.0, 0.75), (1.0, 1.0)],
-    TOKEN_TYPE: [DETAILED_DESCRIPTION, SPECIAL_TOKEN],
-}
-
-
-@dataclass
-class AblationRow:
-    label: str
-    mean: dict[str, float]
-    std: dict[str, float]
-
-
-@dataclass
-class AblationTable:
-    """One ablation layout: rows = grid cells, columns = per-axis mean/std."""
-
-    grid: str
-    seeds: list[int]
-    rows: list[AblationRow] = field(default_factory=list)
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([self.grid, "verb_mean", "verb_std", "noun_mean", "noun_std",
-                             "action_mean", "action_std"])
-            for row in self.rows:
-                writer.writerow([row.label] + [
-                    repr(row.mean[a]) if kind == "mean" else repr(row.std[a])
-                    for a in AXES for kind in ("mean", "std")
-                ])
-
-    def render(self) -> str:
-        """Aligned text table, one row per cell, mean+-std per axis."""
-        header = [self.grid, "verb", "noun", "action"]
-        lines = [[row.label] + [f"{row.mean[a]:.3f}+-{row.std[a]:.3f}" for a in AXES]
-                 for row in self.rows]
-        widths = [max(len(r[c]) for r in [header] + lines) for c in range(4)]
-        out = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-        out.append("  ".join("-" * w for w in widths))
-        out.extend("  ".join(v.ljust(w) for v, w in zip(line, widths)) for line in lines)
-        return "\n".join(out)
-
-
-def _cell_label(grid: str, value) -> str:
-    if grid == LOSS_WEIGHTS:
-        return f"alpha={value[0]:g} beta={value[1]:g}"
-    return str(value)
-
-
-def _cell_train_cfg(grid: str, value, base: TrainConfig) -> TrainConfig:
-    if grid == OBS_INTERVAL:
-        window = dataclasses.replace(base.window, n_obs_bwd=value)
-        return dataclasses.replace(base, window=window)
-    if grid == LOSS_WEIGHTS:
-        return dataclasses.replace(base, weights=LossWeights(*value))
-    if grid == TOKEN_TYPE:
-        return dataclasses.replace(base, preamble=value)
-    raise ConfigError(f"unknown ablation grid: {grid!r}")
-
-
-def _run_cell(args) -> tuple[str, int, tuple[float, float, float]]:
-    (grid, value, base, model_cfg, space, train_videos, test_videos,
-     eval_window, gen, ed_cfg, seed) = args
-    cfg = _cell_train_cfg(grid, value, base)
-    cfg = dataclasses.replace(cfg, seed=seed)
-    model_cfg = dataclasses.replace(model_cfg, seed=seed + 1)
-    params, _ = train(train_videos, cfg, model_cfg, space)
-    gen = dataclasses.replace(gen, seed=seed + 2)
-    report = evaluate(params, space, test_videos, eval_window, gen, ed_cfg, cfg.preamble)
-    return _cell_label(grid, value), seed, (report.mean_verb, report.mean_noun,
-                                            report.mean_action)
-
-
-def run_ablation(
-    grid: str,
-    base: TrainConfig,
-    model_cfg: ModelConfig,
-    space: TokenSpace,
-    train_videos: list[AnnotatedVideo],
-    test_videos: list[AnnotatedVideo],
-    seeds: list[int],
-    eval_window: WindowConfig | None = None,
-    gen: GenerationConfig | None = None,
-    ed_cfg: EdConfig | None = None,
-    values: list | None = None,
-    max_workers: int = 1,
-) -> AblationTable:
-    """Train + evaluate one model per grid cell per seed; aggregate a table."""
-    if grid not in ABLATION_GRIDS:
-        raise ConfigError(f"unknown ablation grid: {grid!r} (one of {sorted(ABLATION_GRIDS)})")
-    if not seeds:
-        raise ConfigError("need at least one seed")
-    values = ABLATION_GRIDS[grid] if values is None else values
-    if not values:
-        raise ConfigError("ablation grid has no cells")
-    eval_window = eval_window or base.window
-    gen = gen or GenerationConfig()
-    ed_cfg = ed_cfg or EdConfig()
-
-    jobs = [(grid, value, base, model_cfg, space, train_videos, test_videos,
-             eval_window, gen, ed_cfg, seed)
-            for value in values for seed in seeds]
-    if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_run_cell, jobs))
-    else:
-        results = [_run_cell(job) for job in jobs]
-
-    by_label: dict[str, list[tuple[float, float, float]]] = {}
-    for label, _seed, means in results:
-        by_label.setdefault(label, []).append(means)
-    table = AblationTable(grid=grid, seeds=list(seeds))
-    for value in values:
-        label = _cell_label(grid, value)
-        arr = np.asarray(by_label[label])
-        table.rows.append(AblationRow(
-            label=label,
-            mean={a: float(arr[:, i].mean()) for i, a in enumerate(AXES)},
-            std={a: float(arr[:, i].std()) for i, a in enumerate(AXES)},
-        ))
-    return table

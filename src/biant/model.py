@@ -470,8 +470,9 @@ def save_checkpoint(params: Parameters, path: str | Path, meta: dict | None = No
 
 
 def load_checkpoint(path: str | Path) -> tuple[Parameters, dict]:
-    """Parameters and meta; ParseError unless the file holds a model config
-    and every array at its configured shape with only finite values."""
+    """Parameters and meta; ParseError unless the file holds a model config,
+    every array at its configured shape with only finite values, and an
+    object as meta."""
     try:
         doc = load_json(path)
         if doc.get("version") != CHECKPOINT_VERSION:
@@ -487,4 +488,7 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, dict]:
             raise ParseError(f"array {name!r} has shape {arr.shape}, expected {expected}")
         if not np.isfinite(arr).all():
             raise ParseError(f"array {name!r} has non-finite values")
-    return Parameters(reference.config, arrays), doc.get("meta", {})
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ParseError(f"checkpoint {path}: meta must be an object")
+    return Parameters(reference.config, arrays), meta

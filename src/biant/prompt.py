@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContextOverflow, GrammarViolation, TruncatedOutput, UnknownLabel
+from .errors import ConfigError, GrammarViolation, TruncatedOutput, UnknownLabel
 from .sequence import BACKWARD, FORWARD, AnticipationInstance
 from .vocab import ActionLabel, Vocabulary
 
@@ -121,9 +121,6 @@ class EncodedInstance:
     z: int
     instance_id: str = ""
 
-    def target_region(self) -> np.ndarray:
-        return self.tokens[self.prompt_len :]
-
 
 def encode_preamble(space: TokenSpace, mode: str, direction: str) -> list[int]:
     """Tokens placed right after BOS to tell the model which task this is."""
@@ -142,7 +139,6 @@ def encode_instance(
     space: TokenSpace,
     inst: AnticipationInstance,
     mode: str,
-    max_len: int | None = None,
     loss_on_structure: bool = True,
 ) -> EncodedInstance:
     """Encode an instance as prompt + teacher-forced target tokens.
@@ -163,8 +159,6 @@ def encode_instance(
     for i, a in enumerate(inst.future):
         last = i == len(inst.future) - 1
         ids.extend((space.verb_token(a.verb), space.noun_token(a.noun), EOS if last else SEP))
-    if max_len is not None and len(ids) > max_len:
-        raise ContextOverflow(f"encoded length {len(ids)} exceeds context length {max_len}")
     tokens = np.asarray(ids, dtype=np.int64)
     mask = np.zeros(len(ids), dtype=bool)
     mask[prompt_len:] = True

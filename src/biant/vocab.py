@@ -58,21 +58,6 @@ class Vocabulary:
     def num_nouns(self) -> int:
         return len(self.nouns)
 
-    @property
-    def num_actions(self) -> int:
-        """Size of the composite verb x noun label grid."""
-        return self.num_verbs * self.num_nouns
-
-    def contains(self, label: ActionLabel) -> bool:
-        return 0 <= label.verb < self.num_verbs and 0 <= label.noun < self.num_nouns
-
-    def require(self, label: ActionLabel) -> None:
-        if not self.contains(label):
-            raise UnknownLabel(
-                f"label {tuple(label)} out of range for "
-                f"{self.num_verbs} verbs x {self.num_nouns} nouns"
-            )
-
     def verb_index(self, name: str) -> int:
         try:
             return self._verb_index[name.lower()]
@@ -107,21 +92,6 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"verbs": list(vocab.verbs), "nouns": list(vocab.nouns)}, fh, indent=1)
         fh.write("\n")
-
-
-def action_to_text(vocab: Vocabulary, a: ActionLabel) -> str:
-    """Render a label as "<verb-name> <noun-name>" for reports and prompts."""
-    vocab.require(a)
-    return f"{vocab.verbs[a.verb]} {vocab.nouns[a.noun]}"
-
-
-def parse_action(vocab: Vocabulary, s: str) -> ActionLabel:
-    """Inverse of action_to_text: "<verb> <noun>" with a single space."""
-    parts = s.lower().split(" ")
-    if len(parts) != 2 or not all(parts):
-        raise ParseError(f"expected '<verb> <noun>', got {s!r}")
-    verb_name, noun_name = parts
-    return ActionLabel(vocab.verb_index(verb_name), vocab.noun_index(noun_name))
 
 
 # Small kitchen-flavored vocabulary shipped for tests and demos (8 x 12).

@@ -6,6 +6,19 @@ from biant.prompt import TokenSpace
 from biant.sequence import AnnotatedVideo, WindowConfig
 from biant.vocab import ActionLabel, demo_vocabulary
 
+# Twelve 30-segment videos and a tiny model: one gen-data -> train -> eval
+# run (or one ablation cell) takes about a second.
+SMALL_CONFIG = {
+    "vocab": "demo",
+    "eval_stride": 13,
+    "scenario": {"num_videos": 12, "video_len": 30},
+    "window": {"stride": 6},
+    "train": {"epochs": 1, "batch_size": 16},
+    "model": {"embed_dim": 8, "mlp_hidden": 12},
+    "gen": {"k": 2},
+    "ablate": {"seeds": [0]},
+}
+
 
 @pytest.fixture(scope="session")
 def vocab():

@@ -14,27 +14,10 @@ import time
 import numpy as np
 import pytest
 
-from biant.config import (
-    RunConfig,
-    ed_config,
-    eval_window,
-    gen_config,
-    model_config,
-    resolve_vocab,
-    scenario_config,
-    train_config,
-)
-from biant.data import generate_corpus
-from biant.evaluation import (
-    ABLATION_GRIDS,
-    LOSS_WEIGHTS,
-    OBS_INTERVAL,
-    TOKEN_TYPE,
-    EdConfig,
-    edit_distance,
-    evaluate,
-    run_ablation,
-)
+from biant.cli import LOSS_WEIGHTS, OBS_INTERVAL, TOKEN_TYPE, run_ablation
+from biant.cli import main as cli_main
+from biant.config import RunConfig, run_config_from_document
+from biant.evaluation import AXES, edit_distance
 from biant.generate import ALL_SAMPLED, GenerationConfig, generate_candidates
 from biant.model import (
     LossWeights,
@@ -48,18 +31,16 @@ from biant.model import (
     optimizer_step,
     task_loss,
 )
-from biant.prompt import (
-    DETAILED_DESCRIPTION,
-    SPECIAL_TOKEN,
-    TokenSpace,
-    encode_instance,
+from biant.prompt import DETAILED_DESCRIPTION, SPECIAL_TOKEN, encode_instance
+from biant.sequence import (
+    ACTION_AXIS,
+    WindowConfig,
+    make_backward_instance,
+    make_forward_instances,
 )
-from biant.sequence import WindowConfig, make_backward_instance, make_forward_instances
 from biant.train import TrainConfig, train
-from biant.vocab import demo_vocabulary
-from biant.cli import main as cli_main
 
-from conftest import make_video
+from conftest import SMALL_CONFIG, make_video
 from reference import ref_edit_distance
 
 
@@ -230,25 +211,13 @@ def test_05_constrained_decoding_is_grammar_complete(announce, space):
 
 def test_06_bidirectional_training_beats_or_ties_forward_only(announce):
     t0 = time.monotonic()
-    deltas = []
-    per_seed = []
-    for master_seed in range(5):
-        cfg = RunConfig(seed=master_seed, eval_stride=13, epochs=8,
-                        window=WindowConfig(stride=6))
-        vocab = resolve_vocab(cfg)
-        space = TokenSpace(vocab)
-        corpus = generate_corpus(vocab, scenario_config(cfg))
-        model_cfg = model_config(cfg, space)
-        scores = {}
-        for name, weights in (("fwd", LossWeights(1.0, 0.0)),
-                              ("bidir", LossWeights(1.0, 1.0))):
-            tcfg = dataclasses.replace(train_config(cfg), weights=weights)
-            params, _ = train(corpus.train, tcfg, model_cfg, space)
-            report = evaluate(params, space, corpus.test, eval_window(cfg),
-                              gen_config(cfg), ed_config(cfg), cfg.preamble)
-            scores[name] = report.mean_action
-        deltas.append(scores["bidir"] - scores["fwd"])
-        per_seed.append(f"seed{master_seed}:{deltas[-1]:+.4f}")
+    seeds = range(5)
+    cfg = RunConfig(eval_stride=13, epochs=8, window=WindowConfig(stride=6))
+    fwd, bidir = run_ablation(LOSS_WEIGHTS, cfg, seeds=seeds,
+                              values=[(1.0, 0.0), (1.0, 1.0)]).rows
+    action = AXES.index(ACTION_AXIS)
+    deltas = [b[action] - f[action] for f, b in zip(fwd.per_seed, bidir.per_seed)]
+    per_seed = [f"seed{seed}:{delta:+.4f}" for seed, delta in zip(seeds, deltas)]
     elapsed = time.monotonic() - t0
     mean_delta = float(np.mean(deltas))
     announce(
@@ -259,13 +228,8 @@ def test_06_bidirectional_training_beats_or_ties_forward_only(announce):
     )
 
 
-def test_07_ablation_tables_have_the_study_layouts(announce, space, tmp_path):
-    train_videos = [make_video(f"at{i}", 32, seed=400 + i) for i in range(3)]
-    test_videos = [make_video("ae0", 28, seed=500)]
-    base = TrainConfig(window=WindowConfig(stride=4), epochs=1, batch_size=16, seed=0)
-    model_cfg = small_model(space)
-    gen = GenerationConfig(k=1)
-
+def test_07_ablation_tables_have_the_study_layouts(announce, tmp_path):
+    cfg = run_config_from_document(SMALL_CONFIG)
     expected_rows = {
         OBS_INTERVAL: ["4", "8", "16", "24"],
         LOSS_WEIGHTS: ["alpha=1 beta=0.5", "alpha=1 beta=0.75", "alpha=1 beta=1"],
@@ -274,8 +238,7 @@ def test_07_ablation_tables_have_the_study_layouts(announce, space, tmp_path):
     ok = True
     details = []
     for grid in (OBS_INTERVAL, LOSS_WEIGHTS, TOKEN_TYPE):
-        table = run_ablation(grid, base, model_cfg, space, train_videos, test_videos,
-                             seeds=[0], gen=gen)
+        table = run_ablation(grid, cfg, seeds=[0])
         labels = [r.label for r in table.rows]
         path = tmp_path / f"ablation_{grid}.csv"
         table.to_csv(path)
@@ -292,7 +255,7 @@ def test_07_ablation_tables_have_the_study_layouts(announce, space, tmp_path):
     announce(
         "ablation harness emits the three expected table layouts",
         ok,
-        "; ".join(details) + " with per-axis mean/std columns from this corpus",
+        "; ".join(details) + " with per-axis mean/std columns, one small run per cell",
     )
 
 

@@ -3,21 +3,12 @@ import shutil
 
 import pytest
 
-from biant.cli import _max_workers, main
-from biant.config import RunConfig
+from biant.cli import LOSS_WEIGHTS, _max_workers, main, run_ablation
+from biant.config import RunConfig, load_run_config
 from biant.errors import ConfigError
 from biant.evaluation import EvalReport
 
-SMALL_CONFIG = {
-    "vocab": "demo",
-    "eval_stride": 13,
-    "scenario": {"num_videos": 12, "video_len": 30},
-    "window": {"stride": 6},
-    "train": {"epochs": 1, "batch_size": 16},
-    "model": {"embed_dim": 8, "mlp_hidden": 12},
-    "gen": {"k": 2},
-    "ablate": {"seeds": [0]},
-}
+from conftest import SMALL_CONFIG
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +86,15 @@ def _nan_in_w_out(text):
     return json.dumps(doc)
 
 
+def _meta_array(text):
+    doc = json.loads(text)
+    doc["meta"] = [doc["meta"]]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("corrupt", [_drop_model_config, lambda text: text[: len(text) // 2],
-                                     _nan_in_w_out], ids=["no_model_config", "truncated", "nan_w_out"])
+                                     _nan_in_w_out, _meta_array],
+                         ids=["no_model_config", "truncated", "nan_w_out", "meta_array"])
 def test_eval_undecodable_checkpoint_exit_code(run_dir, tmp_path, capsys, corrupt):
     cfg_path, out = run_dir
     bad = tmp_path / "checkpoint.json"
@@ -168,6 +166,25 @@ def test_video_len_checked_against_configured_window(tmp_path, capsys):
     assert not (tmp_path / "short").exists()
 
 
+@pytest.mark.parametrize("doc", [
+    {"eval_stride": "13"},
+    {"ablate": {"workers": "2"}},
+    {"ablate": {"seeds": [0, "1"]}},
+    {"scenario": {"coupling": "0.8"}},
+    {"scenario": {"motif_len_range": [1, 2, 3]}},
+    {"seed": "1"},
+    {"gen": {"k": 2.5}},
+    {"train": {"loss_on_structure": 1}},
+], ids=["str_eval_stride", "str_workers", "str_in_seeds", "str_coupling",
+        "three_motif_lens", "str_seed", "float_k", "int_as_bool"])
+def test_config_value_of_wrong_type_exit_code(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")])
+    _assert_invalid_data(code, capsys, "ConfigError", "type of its default")
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_without_corpus(tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path / "empty")]) == 2
     assert "missing file" in capsys.readouterr().err
@@ -201,8 +218,9 @@ def test_train_dump_encodings(run_dir, capsys):
     assert "[backward]" in lines[1]
 
 
-def test_ablate_token_type(run_dir, capsys):
-    cfg_path, out = run_dir
+def test_ablate_token_type(run_dir, tmp_path, capsys):
+    cfg_path, _ = run_dir
+    out = tmp_path / "fresh"
     assert main(["ablate", "--config", str(cfg_path), "--out", str(out),
                  "--grid", "token_type"]) == 0
     captured = capsys.readouterr().out
@@ -212,6 +230,17 @@ def test_ablate_token_type(run_dir, capsys):
     header = csv_path.read_text().splitlines()[0]
     assert header == "token_type,verb_mean,verb_std,noun_mean,noun_std,action_mean,action_std"
     assert (out / "ablation_token_type.txt").exists()
+
+
+def test_ablation_cell_is_one_cli_run(run_dir, tmp_path):
+    cfg_path, _ = run_dir
+    out = tmp_path / "run"
+    for command, *flags in (("gen-data",), ("train", "--beta", "0.5"), ("eval",)):
+        assert main([command, "--config", str(cfg_path), "--out", str(out),
+                     "--seed", "1", *flags]) == 0
+    means = json.loads((out / "eval_report.json").read_text())["means"]
+    table = run_ablation(LOSS_WEIGHTS, load_run_config(cfg_path), [1], values=[(1.0, 0.5)])
+    assert table.rows[0].per_seed[0] == (means["verb"], means["noun"], means["action"])
 
 
 def test_ablate_invalid_thread_cap(run_dir, capsys, monkeypatch):

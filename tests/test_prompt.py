@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biant.errors import ConfigError, ContextOverflow, GrammarViolation, TruncatedOutput, UnknownLabel
+from biant.errors import ConfigError, GrammarViolation, TruncatedOutput, UnknownLabel
 from biant.prompt import (
     BOS,
     CTRL_BWD,
@@ -121,14 +121,6 @@ def test_mask_without_structure_tokens(space):
     assert all(int(t) in (SEP, EOS) for t in structure)
 
 
-def test_encode_context_overflow(space):
-    video = make_video("v", 28, seed=14)
-    fwd = make_forward_instances(video, WindowConfig())[0]
-    with pytest.raises(ContextOverflow):
-        encode_instance(space, fwd, SPECIAL_TOKEN, max_len=50)
-    encode_instance(space, fwd, SPECIAL_TOKEN, max_len=86)
-
-
 def test_encode_rejects_unknown_labels(space):
     inst = AnticipationInstance(
         direction=FORWARD, observed=(ActionLabel(0, 0),), future=(ActionLabel(8, 0),),
@@ -173,7 +165,7 @@ def test_decode_encode_round_trip(seed, n_obs_bwd, mode, backward):
     if backward:
         inst = make_backward_instance(inst, n_obs_bwd)
     enc = encode_instance(space, inst, mode)
-    assert tuple(decode_actions(space, enc.target_region())) == inst.future
+    assert tuple(decode_actions(space, enc.tokens[enc.prompt_len :])) == inst.future
 
 
 def test_target_masks_schedule(space):
@@ -202,7 +194,8 @@ def test_target_masks_admit_every_encoded_target(seed, z):
     space = TokenSpace(demo_vocabulary())
     video = make_video("v", 8 + z, seed=seed)
     inst = make_forward_instances(video, WindowConfig(z_fwd=z, n_obs_bwd=1))[0]
-    target = encode_instance(space, inst, SPECIAL_TOKEN).target_region()
+    enc = encode_instance(space, inst, SPECIAL_TOKEN)
+    target = enc.tokens[enc.prompt_len :]
     masks = target_masks(space, z)
     assert masks[np.arange(3 * z), target].all()
     assert int(masks[:, SEP].sum()) == z - 1 and int(masks[:, EOS].sum()) == 1

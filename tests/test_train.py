@@ -66,7 +66,7 @@ def test_label_noise_leaves_targets_clean(space):
     noisy = build_training_set(videos, TrainConfig(label_noise=1.0, epochs=1, seed=0), space)
     changed = 0
     for c, n in zip(clean, noisy):
-        assert np.array_equal(c.target_region(), n.target_region())
+        assert np.array_equal(c.tokens[c.prompt_len :], n.tokens[n.prompt_len :])
         if not np.array_equal(c.tokens[: c.prompt_len], n.tokens[: n.prompt_len]):
             changed += 1
     assert changed > 0

@@ -2,14 +2,11 @@ import json
 
 import pytest
 
-from biant.errors import DuplicateName, EmptyVocabulary, ParseError, UnknownLabel
+from biant.errors import DuplicateName, EmptyVocabulary, ParseError
 from biant.vocab import (
-    ActionLabel,
     Vocabulary,
-    action_to_text,
     demo_vocabulary,
     load_vocabulary,
-    parse_action,
     save_vocabulary,
     scaled_vocabulary,
 )
@@ -49,42 +46,12 @@ def test_schema_violations():
 def test_benchmark_scale_sizes():
     v = scaled_vocabulary()
     assert v.num_verbs == 117 and v.num_nouns == 521
-    assert v.num_actions == 117 * 521
 
 
 def test_case_normalized_on_construction():
     v = Vocabulary(verbs=("Take", "PUT"), nouns=("Knife",))
     assert v.verbs == ("take", "put")
     assert v.verb_index("TAKE") == 0
-
-
-def test_action_to_text():
-    v = demo_vocabulary()
-    assert action_to_text(v, ActionLabel(0, 0)) == "take knife"
-    assert action_to_text(v, ActionLabel(2, 1)) == "cut cloth"
-    with pytest.raises(UnknownLabel):
-        action_to_text(v, ActionLabel(9, 0))
-    with pytest.raises(UnknownLabel):
-        action_to_text(v, ActionLabel(0, 99))
-
-
-def test_parse_action():
-    v = demo_vocabulary()
-    assert parse_action(v, "put cloth") == ActionLabel(1, 1)
-    with pytest.raises(UnknownLabel):
-        parse_action(v, "fly knife")
-    with pytest.raises(ParseError):
-        parse_action(v, "take")
-    with pytest.raises(ParseError):
-        parse_action(v, "take  knife")
-
-
-def test_parse_text_round_trip_exhaustive():
-    v = demo_vocabulary()
-    for verb in range(v.num_verbs):
-        for noun in range(v.num_nouns):
-            a = ActionLabel(verb, noun)
-            assert parse_action(v, action_to_text(v, a)) == a
 
 
 def test_load_is_deterministic(tmp_path):
@@ -100,12 +67,3 @@ def test_save_load_file_round_trip(tmp_path):
     path = tmp_path / "vocab.json"
     save_vocabulary(v, path)
     assert load_vocabulary(path) == v
-
-
-def test_contains_and_require():
-    v = demo_vocabulary()
-    assert v.contains(ActionLabel(7, 11))
-    assert not v.contains(ActionLabel(8, 0))
-    v.require(ActionLabel(0, 0))
-    with pytest.raises(UnknownLabel):
-        v.require(ActionLabel(-1, 0))
