@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -73,14 +72,6 @@ def _load_corpus(cfg: RunConfig, out: Path):
     vocab = resolve_vocab(cfg)
     corpus = load_corpus(out / "corpus.json", out / "corpus_meta.json", vocab)
     return vocab, corpus
-
-
-def _max_workers(cfg: RunConfig) -> int:
-    """cfg.workers, capped by the BIANT_THREADS environment variable if it is set."""
-    cap = os.environ.get("BIANT_THREADS", str(cfg.workers)).strip()
-    if not cap.isdecimal() or int(cap) < 1:
-        raise ConfigError(f"BIANT_THREADS must be an integer >= 1, got {cap!r}")
-    return min(cfg.workers, int(cap))
 
 
 OBS_INTERVAL = "obs_interval"
@@ -212,6 +203,7 @@ def cmd_train(args) -> int:
     meta = {
         "preamble": cfg.preamble,
         "vocab": cfg.vocab,
+        "vocab_sha256": vocab.digest(),
         "alpha": cfg.weights.alpha,
         "beta": cfg.weights.beta,
         "n_obs_bwd": cfg.window.n_obs_bwd,
@@ -237,6 +229,9 @@ def cmd_eval(args) -> int:
             f"checkpoint token space ({params.config.vocab_size}) does not match "
             f"the configured vocabulary ({space.size})"
         )
+    if meta.get("vocab_sha256", vocab.digest()) != vocab.digest():
+        raise ConfigError("checkpoint was trained on a different vocabulary "
+                          "(same size, other names or order)")
     if meta.get("preamble", cfg.preamble) != cfg.preamble:
         raise ConfigError(
             f"checkpoint was trained with preamble {meta['preamble']!r}; "
@@ -255,7 +250,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _resolved(args)
     out = _prepare_out(cfg, f"ablate_{args.grid}")
-    table = run_ablation(args.grid, cfg, cfg.ablate_seeds, workers=_max_workers(cfg))
+    table = run_ablation(args.grid, cfg, cfg.ablate_seeds, workers=cfg.workers)
     table.to_csv(out / f"ablation_{args.grid}.csv")
     rendered = table.render()
     (out / f"ablation_{args.grid}.txt").write_text(rendered + "\n", encoding="utf-8")
@@ -357,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preamble", metavar="MODE")
     p.add_argument("--k", type=int, metavar="N")
     p.add_argument("--workers", type=int, metavar="N",
-                   help="parallel cells (also capped by BIANT_THREADS)")
+                   help="cells run in parallel processes")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the analytic gradient")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .data import ScenarioConfig
 from .errors import ConfigError, load_json
-from .evaluation import BY_Z, EdConfig
+from .evaluation import EdConfig
 from .generate import GREEDY_FIRST, GenerationConfig
 from .model import LossWeights, ModelConfig
 from .prompt import DETAILED_DESCRIPTION, PREAMBLE_MODES, SPECIAL_TOKEN, TokenSpace
@@ -48,8 +48,6 @@ class RunConfig:
     epochs: int = 8
     batch_size: int = 32
     lr: float = 3e-3
-    label_noise: float = 0.0
-    loss_on_structure: bool = True
     embed_dim: int = 32
     num_heads: int = 2
     num_layers: int = 1
@@ -59,7 +57,6 @@ class RunConfig:
     temperature: float = 1.0
     strategy: str = GREEDY_FIRST
     allow_transpositions: bool = False
-    normalizer: str = BY_Z
     ablate_seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
     workers: int = 1
 

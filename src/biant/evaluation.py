@@ -34,21 +34,12 @@ from .sequence import (
 
 AXES = (VERB_AXIS, NOUN_AXIS, ACTION_AXIS)
 
-BY_Z = "by_z"
-BY_MAX_LEN = "by_max_len"
-NORMALIZERS = (BY_Z, BY_MAX_LEN)
-
 
 @dataclass
 class EdConfig:
-    """Edit-distance variant knobs; defaults are plain Levenshtein / Z."""
+    """Edit-distance variant knobs; the default is plain Levenshtein."""
 
     allow_transpositions: bool = False
-    normalizer: str = BY_Z
-
-    def __post_init__(self) -> None:
-        if self.normalizer not in NORMALIZERS:
-            raise ConfigError(f"unknown normalizer: {self.normalizer!r}")
 
 
 def edit_distance(a, b, cfg: EdConfig | None = None) -> int:
@@ -86,19 +77,18 @@ def _axis_ids(seq, axis: str) -> list:
 
 
 def normalized_ed(pred, gt, axis: str, cfg: EdConfig | None = None) -> float:
-    """Edit distance on one axis, divided by |gt| (or max length per cfg)."""
-    cfg = cfg or EdConfig()
+    """Edit distance on one axis, divided by |gt|."""
     if len(gt) == 0:
         raise EmptyReference("ground-truth sequence is empty")
-    dist = edit_distance(_axis_ids(pred, axis), _axis_ids(gt, axis), cfg)
-    denom = len(gt) if cfg.normalizer == BY_Z else max(len(pred), len(gt))
-    return dist / denom
+    return edit_distance(_axis_ids(pred, axis), _axis_ids(gt, axis), cfg) / len(gt)
 
 
 @dataclass
-class InstanceScore:
-    """Per-axis minima over candidates, with the winning candidate index."""
+class EvalRecord:
+    """Per-axis minima over one instance's candidates, with the winning
+    candidate index per axis."""
 
+    instance_id: str
     ed_verb: float
     ed_noun: float
     ed_action: float
@@ -107,7 +97,7 @@ class InstanceScore:
     best_action: int
 
 
-def score_instance(cands: CandidateSet, gt, cfg: EdConfig | None = None) -> InstanceScore:
+def score_instance(cands: CandidateSet, gt, cfg: EdConfig | None = None) -> EvalRecord:
     """Independent min over candidates per axis; winners may differ."""
     if not cands.candidates:
         raise ConfigError("candidate set is empty")
@@ -118,22 +108,12 @@ def score_instance(cands: CandidateSet, gt, cfg: EdConfig | None = None) -> Inst
         scores = [normalized_ed(c, gt, axis, cfg) for c in cands.candidates]
         winners[axis] = int(np.argmin(scores))
         values[axis] = scores[winners[axis]]
-    return InstanceScore(
+    return EvalRecord(
+        instance_id=cands.instance_id,
         ed_verb=values[VERB_AXIS], ed_noun=values[NOUN_AXIS], ed_action=values[ACTION_AXIS],
         best_verb=winners[VERB_AXIS], best_noun=winners[NOUN_AXIS],
         best_action=winners[ACTION_AXIS],
     )
-
-
-@dataclass
-class EvalRecord:
-    instance_id: str
-    ed_verb: float
-    ed_noun: float
-    ed_action: float
-    best_verb: int
-    best_noun: int
-    best_action: int
 
 
 @dataclass
@@ -204,10 +184,7 @@ def evaluate(
             return generate_candidates(params, space, inst.observed, window.z_fwd,
                                        gen, mode, instance_id=inst.instance_id)
 
-    records = []
-    for inst in instances:
-        score = score_instance(candidate_fn(inst), inst.future, cfg)
-        records.append(EvalRecord(instance_id=inst.instance_id, **vars(score)))
+    records = [score_instance(candidate_fn(inst), inst.future, cfg) for inst in instances]
     config = {"ed": dataclasses.asdict(cfg), "gen": dataclasses.asdict(gen),
               "window": dataclasses.asdict(window), "preamble": mode}
     return EvalReport(

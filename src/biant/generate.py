@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptySupport
 from .model import Parameters, _forward_batch, _softmax
-from .prompt import BOS, SEP, TokenSpace, decode_actions, encode_preamble, target_masks
+from .prompt import TokenSpace, decode_actions, encode_prompt, target_masks
 from .sequence import FORWARD
 from .vocab import ActionLabel
 
@@ -109,9 +109,7 @@ def generate_candidates(
     instance_id: str = "",
 ) -> CandidateSet:
     """Decode k constrained candidates from an observed action prefix."""
-    prompt = [BOS] + encode_preamble(space, mode, FORWARD)
-    for a in observed:
-        prompt.extend((space.verb_token(a.verb), space.noun_token(a.noun), SEP))
+    prompt = encode_prompt(space, mode, FORWARD, observed)
     rngs = [None if cfg.strategy == GREEDY_FIRST and index == 0
             else _candidate_rng(cfg.seed, instance_id, index) for index in range(cfg.k)]
     emitted = _decode_one(params, space, prompt, z, cfg.temperature, rngs)

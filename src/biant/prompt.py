@@ -3,9 +3,9 @@
 Layout of the closed token space derived from a vocabulary:
 
     0 PAD   1 BOS   2 EOS   3 SEP   4 [forward]   5 [backward]
-    [6, 6+Df)            forward task-description tokens
-    [6+Df, 6+Df+Db)      backward task-description tokens
-    [desc_end, +|verbs|) one token per verb
+    [6, 6+D)             forward task-description tokens (D = DESC_LEN)
+    [6+D, 6+2D)          backward task-description tokens
+    [6+2D, +|verbs|)     one token per verb
     [.., +|nouns|)       one token per noun
 
 Every encoded instance is BOS, preamble, then (verb, noun, SEP) per observed
@@ -41,25 +41,25 @@ SPECIAL_TOKEN = "special_token"
 DETAILED_DESCRIPTION = "detailed_description"
 PREAMBLE_MODES = (SPECIAL_TOKEN, DETAILED_DESCRIPTION)
 
+# Tokens in each direction's task-description block.
+DESC_LEN = 8
+
+
 @dataclass
 class TokenSpace:
     """Token-id layout bound to one vocabulary.
 
     The description blocks stand in for the natural-language task
     instructions of the full-scale system; at this scale each direction gets
-    a fixed block of ``desc_len`` opaque tokens instead of prose.
+    a fixed block of ``DESC_LEN`` opaque tokens instead of prose.
     """
 
     vocab: Vocabulary
-    desc_len_fwd: int = 8
-    desc_len_bwd: int = 8
 
     def __post_init__(self) -> None:
-        if self.desc_len_fwd < 1 or self.desc_len_bwd < 1:
-            raise ConfigError("description blocks need at least one token")
         self.fwd_desc_start = NUM_RESERVED
-        self.bwd_desc_start = self.fwd_desc_start + self.desc_len_fwd
-        self.verb_start = self.bwd_desc_start + self.desc_len_bwd
+        self.bwd_desc_start = self.fwd_desc_start + DESC_LEN
+        self.verb_start = self.bwd_desc_start + DESC_LEN
         self.noun_start = self.verb_start + self.vocab.num_verbs
         self.size = self.noun_start + self.vocab.num_nouns
 
@@ -129,32 +129,27 @@ def encode_preamble(space: TokenSpace, mode: str, direction: str) -> list[int]:
     if mode == SPECIAL_TOKEN:
         return [CTRL_FWD if direction == FORWARD else CTRL_BWD]
     if mode == DETAILED_DESCRIPTION:
-        if direction == FORWARD:
-            return list(range(space.fwd_desc_start, space.fwd_desc_start + space.desc_len_fwd))
-        return list(range(space.bwd_desc_start, space.bwd_desc_start + space.desc_len_bwd))
+        start = space.fwd_desc_start if direction == FORWARD else space.bwd_desc_start
+        return list(range(start, start + DESC_LEN))
     raise ConfigError(f"unknown preamble mode: {mode!r}")
 
 
-def encode_instance(
-    space: TokenSpace,
-    inst: AnticipationInstance,
-    mode: str,
-    loss_on_structure: bool = True,
-) -> EncodedInstance:
+def encode_prompt(space: TokenSpace, mode: str, direction: str, observed) -> list[int]:
+    """BOS, the task preamble, then (verb, noun, SEP) per observed action."""
+    ids = [BOS] + encode_preamble(space, mode, direction)
+    for a in observed:
+        ids.extend((space.verb_token(a.verb), space.noun_token(a.noun), SEP))
+    return ids
+
+
+def encode_instance(space: TokenSpace, inst: AnticipationInstance, mode: str) -> EncodedInstance:
     """Encode an instance as prompt + teacher-forced target tokens.
 
     The loss mask is false through the last observed SEP and true afterward,
     which charges loss on 2*|future| action tokens, |future|-1 SEPs, and the
-    final EOS. With loss_on_structure=False the grammar-forced SEP/EOS
-    positions are masked out and only the 2*|future| action tokens count.
+    final EOS.
     """
-    for label in inst.observed + inst.future:
-        space.verb_token(label.verb)
-        space.noun_token(label.noun)
-    ids: list[int] = [BOS]
-    ids.extend(encode_preamble(space, mode, inst.direction))
-    for a in inst.observed:
-        ids.extend((space.verb_token(a.verb), space.noun_token(a.noun), SEP))
+    ids = encode_prompt(space, mode, inst.direction, inst.observed)
     prompt_len = len(ids)
     for i, a in enumerate(inst.future):
         last = i == len(inst.future) - 1
@@ -162,8 +157,6 @@ def encode_instance(
     tokens = np.asarray(ids, dtype=np.int64)
     mask = np.zeros(len(ids), dtype=bool)
     mask[prompt_len:] = True
-    if not loss_on_structure:
-        mask[prompt_len + 2 :: 3] = False
     return EncodedInstance(
         tokens=tokens,
         loss_mask=mask,

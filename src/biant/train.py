@@ -10,7 +10,6 @@ run is bitwise-identical to a loop that has no backward code path at all.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,12 +30,10 @@ from .prompt import SPECIAL_TOKEN, EncodedInstance, TokenSpace, encode_instance
 from .sequence import (
     FORWARD,
     AnnotatedVideo,
-    AnticipationInstance,
     WindowConfig,
     make_backward_instance,
     make_forward_instances,
 )
-from .vocab import ActionLabel
 
 
 @dataclass
@@ -46,12 +43,10 @@ class TrainConfig:
     window: WindowConfig = field(default_factory=WindowConfig)
     weights: LossWeights = field(default_factory=LossWeights)
     preamble: str = SPECIAL_TOKEN
-    epochs: int = 20
+    epochs: int = 8
     batch_size: int = 32
     lr: float = 3e-3
     seed: int = 0
-    label_noise: float = 0.0
-    loss_on_structure: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -60,8 +55,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.lr <= 0:
             raise ConfigError("lr must be > 0")
-        if not 0.0 <= self.label_noise <= 1.0:
-            raise ConfigError("label_noise must be in [0, 1]")
 
 
 @dataclass
@@ -96,36 +89,17 @@ class TrainingLog:
         return self.epochs[-1].mean_loss
 
 
-def _noisy_observed(
-    inst: AnticipationInstance, rate: float, rng: np.random.Generator, space: TokenSpace
-) -> AnticipationInstance:
-    """Resample observed labels at the given rate; targets stay clean."""
-    vocab = space.vocab
-    observed = list(inst.observed)
-    for i in range(len(observed)):
-        if rng.random() < rate:
-            observed[i] = ActionLabel(
-                int(rng.integers(0, vocab.num_verbs)), int(rng.integers(0, vocab.num_nouns))
-            )
-    return dataclasses.replace(inst, observed=tuple(observed))
-
-
 def build_training_set(
     videos: list[AnnotatedVideo], cfg: TrainConfig, space: TokenSpace
 ) -> list[EncodedInstance]:
     """Encode every window forward and, iff beta > 0, backward, in video order."""
-    noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
     out: list[EncodedInstance] = []
     for video in videos:
         for fwd in make_forward_instances(video, cfg.window):
-            pair = [fwd]
+            out.append(encode_instance(space, fwd, cfg.preamble))
             if cfg.weights.beta > 0:
-                pair.append(make_backward_instance(fwd, cfg.window.n_obs_bwd))
-            for inst in pair:
-                if cfg.label_noise > 0:
-                    inst = _noisy_observed(inst, cfg.label_noise, noise_rng, space)
-                out.append(encode_instance(space, inst, cfg.preamble,
-                                           loss_on_structure=cfg.loss_on_structure))
+                bwd = make_backward_instance(fwd, cfg.window.n_obs_bwd)
+                out.append(encode_instance(space, bwd, cfg.preamble))
     return out
 
 

@@ -8,6 +8,7 @@ assignment always equals document order, so loading is deterministic.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,6 +71,12 @@ class Vocabulary:
         except KeyError:
             raise UnknownLabel(f"unknown noun: {name!r}") from None
 
+    def digest(self) -> str:
+        """Hex sha256 of the ordered name lists: equal iff every index maps
+        to the same verb and noun."""
+        doc = json.dumps({"verbs": self.verbs, "nouns": self.nouns})
+        return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+
 
 def load_vocabulary(source: str | Path | dict) -> Vocabulary:
     """Build a Vocabulary from a JSON document (path or already-parsed dict).
@@ -107,9 +114,9 @@ def demo_vocabulary() -> Vocabulary:
     return Vocabulary(verbs=DEMO_VERBS, nouns=DEMO_NOUNS)
 
 
-def scaled_vocabulary(num_verbs: int = 117, num_nouns: int = 521) -> Vocabulary:
-    """Generate a synthetic vocabulary at full benchmark scale (117/521 default)."""
+def scaled_vocabulary() -> Vocabulary:
+    """A synthetic vocabulary at full benchmark scale: 117 verbs x 521 nouns."""
     return Vocabulary(
-        verbs=tuple(f"verb{i:03d}" for i in range(num_verbs)),
-        nouns=tuple(f"noun{i:03d}" for i in range(num_nouns)),
+        verbs=tuple(f"verb{i:03d}" for i in range(117)),
+        nouns=tuple(f"noun{i:03d}" for i in range(521)),
     )

@@ -23,7 +23,7 @@ from collections import deque
 import numpy as np
 
 from biant.model import BatchLosses, _forward_batch, _merge_heads, _split_heads, _stack_batch, _trunk
-from biant.prompt import BOS, CTRL_FWD, EOS, SEP, SPECIAL_TOKEN
+from biant.prompt import BOS, CTRL_FWD, DESC_LEN, EOS, SEP, SPECIAL_TOKEN
 from biant.vocab import ActionLabel
 
 
@@ -191,7 +191,7 @@ def ref_generate_candidates(params, space, observed, z, cfg, mode, instance_id="
     if mode == SPECIAL_TOKEN:
         preamble = [CTRL_FWD]
     else:
-        preamble = list(range(space.fwd_desc_start, space.fwd_desc_start + space.desc_len_fwd))
+        preamble = list(range(space.fwd_desc_start, space.fwd_desc_start + DESC_LEN))
     prompt = [BOS] + preamble
     for a in observed:
         prompt.extend((space.verb_start + a.verb, space.noun_start + a.noun, SEP))

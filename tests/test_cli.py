@@ -3,9 +3,9 @@ import shutil
 
 import pytest
 
-from biant.cli import LOSS_WEIGHTS, _max_workers, main, run_ablation
-from biant.config import RunConfig, load_run_config
-from biant.errors import ConfigError
+from biant.cli import LOSS_WEIGHTS, main, run_ablation
+from biant.config import load_run_config
+from biant.vocab import DEMO_NOUNS, DEMO_VERBS
 from biant.evaluation import EvalReport
 
 from conftest import SMALL_CONFIG
@@ -64,6 +64,23 @@ def test_eval_preamble_mismatch(run_dir, capsys):
                  "--preamble", "description"])
     assert code == 3
     assert "preamble" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_from_other_vocabulary(run_dir, tmp_path, capsys):
+    """Reversed verbs keep the token-space size but move every verb token."""
+    cfg_path, out = run_dir
+    vocab_path = tmp_path / "vocab.json"
+    vocab_path.write_text(json.dumps({"verbs": DEMO_VERBS[::-1], "nouns": DEMO_NOUNS}))
+    other_cfg = tmp_path / "config.json"
+    other_cfg.write_text(json.dumps({**SMALL_CONFIG, "vocab": str(vocab_path)}))
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("corpus.json", "corpus_meta.json"):
+        shutil.copy(out / name, run / name)
+    code = main(["eval", "--config", str(other_cfg), "--out", str(run),
+                 "--checkpoint", str(out / "checkpoint.json")])
+    _assert_invalid_data(code, capsys, "ConfigError", "different vocabulary")
+    assert not (run / "eval_report.json").exists()
 
 
 def test_eval_missing_checkpoint(run_dir, tmp_path, capsys):
@@ -174,7 +191,7 @@ def test_video_len_checked_against_configured_window(tmp_path, capsys):
     {"scenario": {"motif_len_range": [1, 2, 3]}},
     {"seed": "1"},
     {"gen": {"k": 2.5}},
-    {"train": {"loss_on_structure": 1}},
+    {"ed": {"allow_transpositions": 1}},
 ], ids=["str_eval_stride", "str_workers", "str_in_seeds", "str_coupling",
         "three_motif_lens", "str_seed", "float_k", "int_as_bool"])
 def test_config_value_of_wrong_type_exit_code(tmp_path, capsys, doc):
@@ -182,6 +199,19 @@ def test_config_value_of_wrong_type_exit_code(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     code = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")])
     _assert_invalid_data(code, capsys, "ConfigError", "type of its default")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"ed": {"normalizer": "by_z"}},
+    {"train": {"label_noise": 0.0}},
+    {"train": {"loss_on_structure": True}},
+], ids=["ed_normalizer", "train_label_noise", "train_loss_on_structure"])
+def test_config_deleted_key_exit_code(tmp_path, capsys, doc):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    code = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")])
+    _assert_invalid_data(code, capsys, "ConfigError", "unknown keys", next(iter(doc)))
     assert not (tmp_path / "o").exists()
 
 
@@ -241,26 +271,6 @@ def test_ablation_cell_is_one_cli_run(run_dir, tmp_path):
     means = json.loads((out / "eval_report.json").read_text())["means"]
     table = run_ablation(LOSS_WEIGHTS, load_run_config(cfg_path), [1], values=[(1.0, 0.5)])
     assert table.rows[0].per_seed[0] == (means["verb"], means["noun"], means["action"])
-
-
-def test_ablate_invalid_thread_cap(run_dir, capsys, monkeypatch):
-    cfg_path, out = run_dir
-    monkeypatch.setenv("BIANT_THREADS", "lots")
-    code = main(["ablate", "--config", str(cfg_path), "--out", str(out),
-                 "--grid", "token_type"])
-    assert code == 3
-    assert "BIANT_THREADS" in capsys.readouterr().err
-
-
-def test_max_workers_cap(monkeypatch):
-    cfg = RunConfig(workers=4)
-    monkeypatch.delenv("BIANT_THREADS", raising=False)
-    assert _max_workers(cfg) == 4
-    monkeypatch.setenv("BIANT_THREADS", "2")
-    assert _max_workers(cfg) == 2
-    monkeypatch.setenv("BIANT_THREADS", "0")
-    with pytest.raises(ConfigError):
-        _max_workers(cfg)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

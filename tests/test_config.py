@@ -19,9 +19,12 @@ from biant.config import (
 )
 from biant.data import ScenarioConfig
 from biant.errors import ConfigError, ParseError
-from biant.model import LossWeights
+from biant.evaluation import EdConfig
+from biant.generate import GenerationConfig
+from biant.model import LossWeights, ModelConfig
 from biant.prompt import DETAILED_DESCRIPTION, SPECIAL_TOKEN, TokenSpace
 from biant.sequence import WindowConfig
+from biant.train import TrainConfig
 
 
 def test_defaults_are_valid():
@@ -134,17 +137,26 @@ def test_component_seeds_derive_from_master():
     assert gen_config(cfg).seed == 13
 
 
+def test_default_run_config_builds_component_defaults():
+    """RunConfig() sets no component knob away from that component's own
+    default; only the derived seeds, window, weights and vocab size differ."""
+    cfg = RunConfig()
+    space = TokenSpace(resolve_vocab(cfg))
+    assert train_config(cfg) == TrainConfig(window=cfg.window, weights=cfg.weights, seed=2)
+    assert model_config(cfg, space) == ModelConfig(vocab_size=space.size, seed=1)
+    assert gen_config(cfg) == GenerationConfig(seed=3)
+    assert ed_config(cfg) == EdConfig()
+
+
 def test_builders_carry_fields():
     cfg = RunConfig(seed=1, epochs=4, batch_size=16, lr=1e-3, k=2,
-                    allow_transpositions=True, normalizer="by_max_len",
-                    eval_stride=9, label_noise=0.2, loss_on_structure=False)
+                    allow_transpositions=True, eval_stride=9)
     tc = train_config(cfg)
     assert (tc.epochs, tc.batch_size, tc.lr) == (4, 16, 1e-3)
-    assert tc.label_noise == 0.2 and tc.loss_on_structure is False
     gc = gen_config(cfg)
     assert gc.k == 2
     ec = ed_config(cfg)
-    assert ec.allow_transpositions is True and ec.normalizer == "by_max_len"
+    assert ec.allow_transpositions is True
     ew = eval_window(cfg)
     assert ew.stride == 9
     assert ew.n_obs_fwd == cfg.window.n_obs_fwd

@@ -153,9 +153,10 @@ def test_batch_padding_does_not_change_losses(tiny_params, space):
     assert math.isclose(padded, (alone + other) / 2.0, rel_tol=1e-12)
 
 
-def _equivalence_case(space, loss_on_structure):
+def _equivalence_case(space, full_mask):
     """Generic-scale 2-layer model and a mixed batch: full-length forward and
-    backward instances plus right-padded short backward ones."""
+    backward instances plus right-padded short backward ones. Without
+    ``full_mask`` the grammar-forced SEP/EOS targets leave the loss mask."""
     cfg = ModelConfig(vocab_size=space.size, context_len=96, embed_dim=16,
                       num_heads=2, num_layers=2, mlp_hidden=24, seed=9)
     params = init_params(cfg)
@@ -167,18 +168,20 @@ def _equivalence_case(space, loss_on_structure):
     short = make_forward_instances(video, WindowConfig(n_obs_fwd=4, z_fwd=6, n_obs_bwd=3))
     insts = [fwd[0], make_backward_instance(short[0], 3), make_backward_instance(fwd[0], 16),
              short[1], make_backward_instance(fwd[1], 24)]
-    batch = [encode_instance(space, i, SPECIAL_TOKEN, loss_on_structure=loss_on_structure)
-             for i in insts]
+    batch = [encode_instance(space, i, SPECIAL_TOKEN) for i in insts]
+    if not full_mask:
+        for enc in batch:
+            enc.loss_mask[enc.prompt_len + 2 :: 3] = False
     assert len({len(e.tokens) for e in batch}) > 1
     return params, batch
 
 
 @pytest.mark.parametrize("vocab_name", ["demo", "scaled"])
-@pytest.mark.parametrize("loss_on_structure", [True, False])
-def test_target_head_matches_full_head_oracle(space, vocab_name, loss_on_structure):
+@pytest.mark.parametrize("full_mask", [True, False])
+def test_target_head_matches_full_head_oracle(space, vocab_name, full_mask):
     if vocab_name == "scaled":
         space = TokenSpace(scaled_vocabulary())
-    params, batch = _equivalence_case(space, loss_on_structure)
+    params, batch = _equivalence_case(space, full_mask)
     w = LossWeights(1.0, 0.6)
     fast, fast_losses = _gradient_detailed(params, batch, w)
     slow, slow_losses = ref_gradient_detailed(params, batch, w)

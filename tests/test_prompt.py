@@ -18,6 +18,7 @@ from biant.prompt import (
     dump_encoding,
     encode_instance,
     encode_preamble,
+    encode_prompt,
     target_masks,
 )
 from biant.sequence import BACKWARD, FORWARD, AnticipationInstance, WindowConfig, make_backward_instance, make_forward_instances
@@ -82,6 +83,8 @@ def test_encode_smallest_instance(space):
     assert enc.loss_mask.tolist() == [False] * 5 + [True] * 3
     assert enc.prompt_len == 5
     assert enc.z == 1
+    prompt = encode_prompt(space, SPECIAL_TOKEN, FORWARD, smallest_instance().observed)
+    assert prompt == enc.tokens[: enc.prompt_len].tolist()
 
 
 def test_encoded_lengths_default_config(space):
@@ -108,17 +111,6 @@ def test_mask_counts_3z_any_preamble(space):
         bwd = make_backward_instance(fwd, 16)
         enc = encode_instance(space, bwd, SPECIAL_TOKEN)
         assert int(enc.loss_mask.sum()) == 3 * 12
-
-
-def test_mask_without_structure_tokens(space):
-    enc = encode_instance(space, smallest_instance(), SPECIAL_TOKEN, loss_on_structure=False)
-    assert enc.loss_mask.tolist() == [False] * 5 + [True, True, False]
-    video = make_video("v", 28, seed=13)
-    fwd = make_forward_instances(video, WindowConfig())[0]
-    enc = encode_instance(space, fwd, SPECIAL_TOKEN, loss_on_structure=False)
-    assert int(enc.loss_mask.sum()) == 2 * 20
-    structure = enc.tokens[enc.prompt_len + 2 :: 3]
-    assert all(int(t) in (SEP, EOS) for t in structure)
 
 
 def test_encode_rejects_unknown_labels(space):

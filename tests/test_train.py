@@ -25,8 +25,6 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(lr=0.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(label_noise=1.5)
 
 
 def test_build_training_set_pairs_each_window(space):
@@ -51,32 +49,13 @@ def test_build_training_set_forward_only_when_beta_zero(space):
 
 def test_build_training_set_is_deterministic(space):
     videos = [make_video("v0", 30, seed=2), make_video("v1", 29, seed=3)]
-    cfg = TrainConfig(label_noise=0.3, epochs=1, seed=9)
+    cfg = TrainConfig(epochs=1, seed=9)
     a = build_training_set(videos, cfg, space)
     b = build_training_set(videos, cfg, space)
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert np.array_equal(x.tokens, y.tokens)
         assert x.instance_id == y.instance_id
-
-
-def test_label_noise_leaves_targets_clean(space):
-    videos = [make_video("v0", 32, seed=4)]
-    clean = build_training_set(videos, TrainConfig(epochs=1), space)
-    noisy = build_training_set(videos, TrainConfig(label_noise=1.0, epochs=1, seed=0), space)
-    changed = 0
-    for c, n in zip(clean, noisy):
-        assert np.array_equal(c.tokens[c.prompt_len :], n.tokens[n.prompt_len :])
-        if not np.array_equal(c.tokens[: c.prompt_len], n.tokens[: n.prompt_len]):
-            changed += 1
-    assert changed > 0
-
-
-def test_build_training_set_respects_loss_on_structure(space):
-    videos = [make_video("v0", 28, seed=5)]
-    out = build_training_set(videos, TrainConfig(epochs=1, loss_on_structure=False), space)
-    assert int(out[0].loss_mask.sum()) == 2 * 20
-    assert int(out[1].loss_mask.sum()) == 2 * 12
 
 
 def test_train_rejects_mismatched_vocab(space):
