@@ -42,45 +42,56 @@ class EdConfig:
     allow_transpositions: bool = False
 
 
+def _edit_distances(eq: np.ndarray, transpositions: bool) -> np.ndarray:
+    """Edit distance of every pair in a (B, m, n) tensor of ``a[i] == b[j]``.
+
+    One Levenshtein row per i for all B pairs at once: substitutions and
+    deletions from the row above, then insertions as a running minimum of
+    ``cur[j] = min(base[j], cur[j-1] + 1)``. With transpositions (optimal
+    string alignment) a swapped adjacent pair also costs 1 from two rows up.
+    """
+    b, m, n = eq.shape
+    j = np.arange(n + 1)
+    prev_prev, prev = None, np.broadcast_to(j, (b, n + 1))
+    for i in range(1, m + 1):
+        base = np.empty((b, n + 1), dtype=np.int64)
+        base[:, 0] = i
+        base[:, 1:] = np.minimum(prev[:, 1:] + 1, prev[:, :-1] + ~eq[:, i - 1])
+        if transpositions and i > 1:
+            swapped = eq[:, i - 1, :-1] & eq[:, i - 2, 1:]
+            np.minimum(base[:, 2:], prev_prev[:, :-2] + 1, out=base[:, 2:], where=swapped)
+        prev_prev, prev = prev, np.minimum.accumulate(base - j, axis=1) + j
+    return prev[:, n]
+
+
 def edit_distance(a, b, cfg: EdConfig | None = None) -> int:
     """Minimum insert/delete/substitute count turning a into b.
 
     Adjacent transpositions also cost 1 when cfg.allow_transpositions
     (optimal string alignment variant).
     """
-    cfg = cfg or EdConfig()
     a, b = list(a), list(b)
-    prev = list(range(len(b) + 1))
-    prev_prev: list[int] | None = None
-    for i in range(1, len(a) + 1):
-        cur = [i] + [0] * len(b)
-        for j in range(1, len(b) + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            best = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-            if (cfg.allow_transpositions and i > 1 and j > 1
-                    and a[i - 1] == b[j - 2] and a[i - 2] == b[j - 1]):
-                best = min(best, prev_prev[j - 2] + 1)
-            cur[j] = best
-        prev_prev = prev
-        prev = cur
-    return prev[len(b)]
+    eq = np.array([[x == y for y in b] for x in a], dtype=bool).reshape(1, len(a), len(b))
+    return int(_edit_distances(eq, (cfg or EdConfig()).allow_transpositions)[0])
 
 
-def _axis_ids(seq, axis: str) -> list:
-    if axis == VERB_AXIS:
-        return [a.verb for a in seq]
-    if axis == NOUN_AXIS:
-        return [a.noun for a in seq]
-    if axis == ACTION_AXIS:
-        return [(a.verb, a.noun) for a in seq]
-    raise ConfigError(f"unknown scoring axis: {axis!r}")
+def _normalized_eds(cands: list, gt, cfg: EdConfig) -> np.ndarray:
+    """(3, K) edit distances divided by |gt| of K equal-length candidates,
+    on the verb, noun and action axes (the rows of AXES)."""
+    if len(gt) == 0:
+        raise EmptyReference("ground-truth sequence is empty")
+    pred = np.array([[(a.verb, a.noun) for a in c] for c in cands], dtype=np.int64)
+    ref = np.array([(a.verb, a.noun) for a in gt], dtype=np.int64)
+    eq = pred.reshape(len(cands), len(cands[0]), 1, 2) == ref
+    eq = np.concatenate([eq[..., 0], eq[..., 1], eq.all(axis=-1)])
+    return _edit_distances(eq, cfg.allow_transpositions).reshape(3, len(cands)) / len(gt)
 
 
 def normalized_ed(pred, gt, axis: str, cfg: EdConfig | None = None) -> float:
     """Edit distance on one axis, divided by |gt|."""
-    if len(gt) == 0:
-        raise EmptyReference("ground-truth sequence is empty")
-    return edit_distance(_axis_ids(pred, axis), _axis_ids(gt, axis), cfg) / len(gt)
+    if axis not in AXES:
+        raise ConfigError(f"unknown scoring axis: {axis!r}")
+    return float(_normalized_eds([pred], gt, cfg or EdConfig())[AXES.index(axis), 0])
 
 
 @dataclass
@@ -98,21 +109,17 @@ class EvalRecord:
 
 
 def score_instance(cands: CandidateSet, gt, cfg: EdConfig | None = None) -> EvalRecord:
-    """Independent min over candidates per axis; winners may differ."""
+    """Independent min over candidates per axis; winners may differ (the
+    lowest candidate index wins a tie)."""
     if not cands.candidates:
         raise ConfigError("candidate set is empty")
-    cfg = cfg or EdConfig()
-    values: dict[str, float] = {}
-    winners: dict[str, int] = {}
-    for axis in AXES:
-        scores = [normalized_ed(c, gt, axis, cfg) for c in cands.candidates]
-        winners[axis] = int(np.argmin(scores))
-        values[axis] = scores[winners[axis]]
+    scores = _normalized_eds(cands.candidates, gt, cfg or EdConfig())
+    verb, noun, action = (int(w) for w in scores.argmin(axis=1))
     return EvalRecord(
         instance_id=cands.instance_id,
-        ed_verb=values[VERB_AXIS], ed_noun=values[NOUN_AXIS], ed_action=values[ACTION_AXIS],
-        best_verb=winners[VERB_AXIS], best_noun=winners[NOUN_AXIS],
-        best_action=winners[ACTION_AXIS],
+        ed_verb=float(scores[0, verb]), ed_noun=float(scores[1, noun]),
+        ed_action=float(scores[2, action]),
+        best_verb=verb, best_noun=noun, best_action=action,
     )
 
 

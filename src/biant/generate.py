@@ -59,11 +59,13 @@ class CandidateSet:
 
 
 def renormalize_masked(dist: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Restrict each distribution (last axis) to the admitted tokens, rescaled to sum 1."""
+    """Restrict each distribution (last axis) to the admitted tokens, rescaled to sum 1.
+
+    A non-finite admitted total (a NaN or infinite logit) is EmptySupport too."""
     kept = np.where(mask, dist, 0.0)
     total = kept.sum(axis=-1, keepdims=True)
-    if (total <= 0.0).any():
-        raise EmptySupport("mask admits no token with nonzero probability")
+    if not (np.isfinite(total) & (total > 0.0)).all():
+        raise EmptySupport("mask admits no token with finite nonzero probability")
     return kept / total
 
 
@@ -78,8 +80,14 @@ def _decode_one(params: Parameters, space: TokenSpace, prompt: list[int], z: int
     """Emit one grammar-masked target region per entry of ``rngs`` (None:
     greedy) as one batch; returns the (len(rngs), 3z) emitted tokens. One
     prefill of the shared prompt fills a key/value cache that every row then
-    extends by one token per row of the grammar schedule."""
+    extends by one token per row of the grammar schedule.
+
+    A sampled row draws exactly what ``Generator.choice`` with ``p=dist[row]``
+    would at each step: one uniform u per step, forced SEP/EOS steps
+    included, and the token is the count of ``cumsum(p) / cumsum(p)[-1] <= u``."""
     schedule = target_masks(space, z)
+    sampled = [row for row, rng in enumerate(rngs) if rng is not None]
+    draws = np.array([rngs[row].random(3 * z) for row in sampled])
     kv: list = []
     logits, _ = _forward_batch(params, np.asarray([prompt], dtype=np.int64), False, kv=kv)
     n = len(rngs)
@@ -93,9 +101,10 @@ def _decode_one(params: Parameters, space: TokenSpace, prompt: list[int], z: int
         # underflows to a one-hot that may lie outside the grammar.
         scores = np.where(mask, logits / temperature, -np.inf)
         dist = renormalize_masked(_softmax(scores), mask)
-        for row, rng in enumerate(rngs):
-            emitted[row, step] = (np.argmax(dist[row]) if rng is None
-                                  else rng.choice(mask.size, p=dist[row]))
+        emitted[:, step] = dist.argmax(axis=1)
+        if sampled:
+            cdf = dist[sampled].cumsum(axis=1)
+            emitted[sampled, step] = (cdf / cdf[:, -1:] <= draws[:, step, None]).sum(axis=1)
     return emitted
 
 

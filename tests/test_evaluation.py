@@ -158,6 +158,29 @@ def test_score_instance_more_candidates_never_hurt():
         prev = score
 
 
+small_actions = st.builds(ActionLabel, st.integers(0, 2), st.integers(0, 2))
+
+
+@given(data=st.data(), transpositions=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_score_instance_matches_per_candidate_reference(data, transpositions):
+    """Per axis, the min over candidates of the full-matrix oracle, won by the
+    lowest tied index; candidates of any common length, empty included."""
+    gt = data.draw(st.lists(small_actions, min_size=1, max_size=6))
+    length = data.draw(st.integers(0, 8))
+    cands = data.draw(st.lists(st.lists(small_actions, min_size=length, max_size=length)
+                               .map(tuple), min_size=1, max_size=20))
+    score = score_instance(CandidateSet("i", cands), gt,
+                           EdConfig(allow_transpositions=transpositions))
+    for key, value, winner in ((lambda a: a.verb, score.ed_verb, score.best_verb),
+                               (lambda a: a.noun, score.ed_noun, score.best_noun),
+                               (lambda a: a, score.ed_action, score.best_action)):
+        scores = [ref_edit_distance([key(a) for a in c], [key(a) for a in gt], transpositions)
+                  / len(gt) for c in cands]
+        assert value == min(scores)
+        assert winner == scores.index(min(scores))
+
+
 def test_score_instance_rejects_empty():
     with pytest.raises(ConfigError):
         score_instance(CandidateSet("i", []), labels([(0, 0)]))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from biant import generate
 from biant.errors import ConfigError, EmptySupport
 from biant.generate import (
     ALL_SAMPLED,
@@ -10,12 +11,14 @@ from biant.generate import (
     STRATEGIES,
     CandidateSet,
     GenerationConfig,
+    _candidate_rng,
+    _decode_one,
     dump_candidates,
     generate_candidates,
     renormalize_masked,
 )
 from biant.model import ModelConfig, init_params
-from biant.prompt import DETAILED_DESCRIPTION, SPECIAL_TOKEN, TokenSpace
+from biant.prompt import BOS, DETAILED_DESCRIPTION, SPECIAL_TOKEN, TokenSpace, target_masks
 from biant.vocab import ActionLabel, scaled_vocabulary
 
 from conftest import make_video
@@ -87,16 +90,82 @@ def test_batched_cached_decoder_matches_full_prefix_oracle(space, vocab_name, mo
         params.arrays[name] = rng.normal(0.0, 0.4, arr.shape)
     obs = observed_prefix()
     distinct = set()
-    for strategy in STRATEGIES:
-        for temperature in (0.05, 1.0, 3.0):
-            for k in (1, 7):
-                for z in (1, 20):
-                    gen = GenerationConfig(k=k, temperature=temperature, strategy=strategy, seed=5)
-                    fast = generate_candidates(params, space, obs, z, gen, mode, "v:t0003")
-                    slow = ref_generate_candidates(params, space, obs, z, gen, mode, "v:t0003")
-                    assert fast.candidates == slow, (strategy, temperature, k, z)
-                    distinct.update(slow)
+    cases = [(strategy, temperature, k, z) for strategy in STRATEGIES
+             for temperature in (0.05, 1.0, 3.0) for k in (1, 7) for z in (1, 20)]
+    for strategy, temperature, k, z in cases + [(GREEDY_FIRST, 3.0, 20, 20)]:
+        gen = GenerationConfig(k=k, temperature=temperature, strategy=strategy, seed=5)
+        fast = generate_candidates(params, space, obs, z, gen, mode, "v:t0003")
+        slow = ref_generate_candidates(params, space, obs, z, gen, mode, "v:t0003")
+        assert fast.candidates == slow, (strategy, temperature, k, z)
+        distinct.update(slow)
     assert len(distinct) > 20
+
+
+@pytest.mark.parametrize("temperature", [0.05, 3.0])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_vectorised_draw_matches_generator_choice(space, monkeypatch, strategy, temperature):
+    """Every token equals a per-row ``Generator.choice(p=row)`` (argmax for
+    the greedy row) on the distribution the decoder built, and every stream
+    ends where 3z such calls leave it."""
+    k, z = 20, 20
+    schedule = target_masks(space, z)
+    logit_rng = np.random.default_rng(11)
+
+    def fake_forward(params, tokens, keep_cache, kv=None):
+        step = fake_forward.calls
+        fake_forward.calls += 1
+        logits = logit_rng.normal(0.0, 2.0, (len(tokens), space.size))
+        admitted = np.flatnonzero(schedule[step])
+        for row in range(len(tokens)):
+            kind = logit_rng.integers(4)
+            if kind == 1:  # near one-hot
+                logits[row, logit_rng.choice(admitted)] += 40.0
+            elif kind == 2:  # a single admitted token keeps any mass
+                logits[row, admitted] = -np.inf
+                logits[row, logit_rng.choice(admitted)] = 0.0
+            elif kind == 3:  # a random subset of the admitted tokens
+                drop = admitted[logit_rng.random(admitted.size) < 0.5]
+                logits[row, drop[: admitted.size - 1]] = -np.inf
+        return logits[:, None, :], None
+
+    fake_forward.calls = 0
+    dists = []
+
+    def recording_renormalize(dist, mask):
+        dists.append(renormalize_masked(dist, mask))
+        return dists[-1]
+
+    monkeypatch.setattr(generate, "_forward_batch", fake_forward)
+    monkeypatch.setattr(generate, "renormalize_masked", recording_renormalize)
+    greedy = [strategy == GREEDY_FIRST and row == 0 for row in range(k)]
+    rngs = [None if g else _candidate_rng(4, "i", row) for row, g in enumerate(greedy)]
+    emitted = _decode_one(None, space, [BOS], z, temperature, rngs)
+
+    oracle = [None if g else _candidate_rng(4, "i", row) for row, g in enumerate(greedy)]
+    assert len(dists) == 3 * z
+    single = 0
+    for step, dist in enumerate(dists):
+        if schedule[step].sum() > 1:
+            single += int(((dist > 0).sum(axis=1) == 1).sum())
+        for row, rng in enumerate(oracle):
+            want = np.argmax(dist[row]) if rng is None else rng.choice(space.size, p=dist[row])
+            assert emitted[row, step] == want, (step, row)
+    assert single > z
+    for rng, oracle_rng in zip(rngs, oracle):
+        if rng is not None:
+            assert rng.random() == oracle_rng.random()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("strategy,k", [(GREEDY_FIRST, 1), (ALL_SAMPLED, 2)])
+def test_non_finite_admitted_logit_is_empty_support(tiny_params, space, strategy, k, bad):
+    """A NaN or infinite score anywhere in the admitted set is a named error
+    on the greedy and on the sampled path alike."""
+    params = init_params(tiny_params.config)
+    params.arrays["b_out"][space.verb_start + 2] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(EmptySupport):
+        generate_candidates(params, space, observed_prefix(), 3,
+                            GenerationConfig(k=k, strategy=strategy, seed=1), SPECIAL_TOKEN, "i")
 
 
 def test_generate_shapes_and_lengths(tiny_params, space):
