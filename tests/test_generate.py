@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -110,10 +111,10 @@ def test_vectorised_draw_matches_generator_choice(space, monkeypatch, strategy, 
     k, z = 20, 20
     schedule = target_masks(space, z)
     logit_rng = np.random.default_rng(11)
+    steps = itertools.count()
 
     def fake_forward(params, tokens, keep_cache, kv=None):
-        step = fake_forward.calls
-        fake_forward.calls += 1
+        step = next(steps)
         logits = logit_rng.normal(0.0, 2.0, (len(tokens), space.size))
         admitted = np.flatnonzero(schedule[step])
         for row in range(len(tokens)):
@@ -128,7 +129,6 @@ def test_vectorised_draw_matches_generator_choice(space, monkeypatch, strategy, 
                 logits[row, drop[: admitted.size - 1]] = -np.inf
         return logits[:, None, :], None
 
-    fake_forward.calls = 0
     dists = []
 
     def recording_renormalize(dist, mask):
