@@ -10,7 +10,6 @@ from .config import RunConfig, load_run_config, save_run_config
 from .data import ScenarioConfig, SyntheticCorpus, generate_corpus, load_annotations, save_annotations
 from .errors import BiantError
 from .evaluation import (
-    EdConfig,
     EvalReport,
     edit_distance,
     evaluate,

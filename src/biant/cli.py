@@ -20,7 +20,6 @@ import numpy as np
 from .config import (
     RunConfig,
     apply_overrides,
-    ed_config,
     eval_window,
     gen_config,
     load_run_config,
@@ -151,7 +150,7 @@ def _run_cell(job) -> tuple[float, float, float]:
     corpus = generate_corpus(vocab, scenario_config(cfg))
     params, _ = train(corpus.train, train_config(cfg), model_config(cfg, space), space)
     report = evaluate(params, space, corpus.test, eval_window(cfg),
-                      gen_config(cfg), ed_config(cfg), cfg.preamble)
+                      gen_config(cfg), cfg.preamble)
     return report.mean_verb, report.mean_noun, report.mean_action
 
 
@@ -238,7 +237,7 @@ def cmd_eval(args) -> int:
             f"pass --preamble to match"
         )
     report = evaluate(params, space, corpus.test, eval_window(cfg),
-                      gen_config(cfg), ed_config(cfg), cfg.preamble)
+                      gen_config(cfg), cfg.preamble)
     report.to_json(out / "eval_report.json")
     report.summary_csv(out / "eval_summary.csv")
     print(f"evaluated {report.num_instances} instances: "

@@ -16,8 +16,7 @@ from pathlib import Path
 
 from .data import ScenarioConfig
 from .errors import ConfigError, load_json
-from .evaluation import EdConfig
-from .generate import GREEDY_FIRST, GenerationConfig
+from .generate import GenerationConfig
 from .model import LossWeights, ModelConfig
 from .prompt import DETAILED_DESCRIPTION, PREAMBLE_MODES, SPECIAL_TOKEN, TokenSpace
 from .sequence import WindowConfig
@@ -55,8 +54,6 @@ class RunConfig:
     context_len: int = 96
     k: int = 5
     temperature: float = 1.0
-    strategy: str = GREEDY_FIRST
-    allow_transpositions: bool = False
     ablate_seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
     workers: int = 1
 
@@ -83,7 +80,7 @@ def _names(cls) -> list[str]:
 # Nested sections are RunConfig fields holding a dataclass; flat sections
 # group the RunConfig fields that feed one component's config.
 _NESTED = {"scenario": ScenarioConfig, "window": WindowConfig, "weights": LossWeights}
-_FLAT = {"train": TrainConfig, "model": ModelConfig, "gen": GenerationConfig, "ed": EdConfig}
+_FLAT = {"train": TrainConfig, "model": ModelConfig, "gen": GenerationConfig}
 _TOP_FIELDS = ("out", "seed", "vocab", "preamble", "eval_stride")
 # Section key -> RunConfig field; every section key not named here is its own field.
 _RENAMED = {"seeds": "ablate_seeds"}
@@ -131,9 +128,7 @@ def run_config_from_document(doc: dict) -> RunConfig:
     of the wrong type are errors."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = set(doc) - set(_TOP_FIELDS) - set(_SECTION_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
+    _check_keys("top-level", doc, _TOP_FIELDS + tuple(_SECTION_FIELDS))
     defaults = run_config_to_document(RunConfig())
     kwargs: dict = {k: doc[k] for k in _TOP_FIELDS if k in doc}
     _check_types("", kwargs, defaults)
@@ -212,10 +207,6 @@ def train_config(cfg: RunConfig) -> TrainConfig:
 
 def gen_config(cfg: RunConfig) -> GenerationConfig:
     return GenerationConfig(seed=cfg.seed + 3, **_section(cfg, "gen"))
-
-
-def ed_config(cfg: RunConfig) -> EdConfig:
-    return EdConfig(**_section(cfg, "ed"))
 
 
 def eval_window(cfg: RunConfig) -> WindowConfig:

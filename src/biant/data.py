@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -198,6 +199,8 @@ def load_annotations(path: str | Path, vocab: Vocabulary) -> list[AnnotatedVideo
         if not isinstance(entry, dict) or "id" not in entry or "segments" not in entry:
             raise ParseError(f"{path}: video #{vi} needs 'id' and 'segments'")
         vid = entry["id"]
+        if not isinstance(entry["segments"], list):
+            raise ParseError(f"{path}: video {vid!r} 'segments' must be an array")
         segments = []
         for si, seg in enumerate(entry["segments"]):
             if not isinstance(seg, dict) or "verb" not in seg or "noun" not in seg:
@@ -224,12 +227,13 @@ def save_corpus_meta(corpus: SyntheticCorpus, path: str | Path) -> None:
 
 def load_corpus(annotations_path: str | Path, meta_path: str | Path,
                 vocab: Vocabulary) -> SyntheticCorpus:
-    """Rebuild a corpus from its annotation file and metadata sidecar."""
+    """Rebuild a corpus from its annotation file and metadata sidecar. Every
+    split id must name exactly one video, and no id may be listed twice."""
     videos = load_annotations(annotations_path, vocab)
     meta = load_json(meta_path)
     try:
         split = meta["split"]
-        return SyntheticCorpus(
+        corpus = SyntheticCorpus(
             videos=videos,
             train_ids=list(split["train"]),
             val_ids=list(split["val"]),
@@ -237,5 +241,12 @@ def load_corpus(annotations_path: str | Path, meta_path: str | Path,
             sanity=dict(meta.get("sanity", {})),
             config=ScenarioConfig(**meta["config"]),
         )
+        listed = Counter(corpus.train_ids + corpus.val_ids + corpus.test_ids)
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"{meta_path}: bad corpus metadata: {type(err).__name__}: {err}") from err
+    per_id = Counter(v.id for v in videos)
+    bad = sorted(str(i) for i, n in listed.items() if n > 1 or per_id[i] != 1)
+    if bad:
+        raise ParseError(f"{meta_path}: each split id must be listed once and name one "
+                         f"video of {annotations_path}: {bad}")
+    return corpus

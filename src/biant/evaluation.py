@@ -35,47 +35,32 @@ from .sequence import (
 AXES = (VERB_AXIS, NOUN_AXIS, ACTION_AXIS)
 
 
-@dataclass
-class EdConfig:
-    """Edit-distance variant knobs; the default is plain Levenshtein."""
-
-    allow_transpositions: bool = False
-
-
-def _edit_distances(eq: np.ndarray, transpositions: bool) -> np.ndarray:
+def _edit_distances(eq: np.ndarray) -> np.ndarray:
     """Edit distance of every pair in a (B, m, n) tensor of ``a[i] == b[j]``.
 
     One Levenshtein row per i for all B pairs at once: substitutions and
     deletions from the row above, then insertions as a running minimum of
-    ``cur[j] = min(base[j], cur[j-1] + 1)``. With transpositions (optimal
-    string alignment) a swapped adjacent pair also costs 1 from two rows up.
+    ``cur[j] = min(base[j], cur[j-1] + 1)``.
     """
     b, m, n = eq.shape
     j = np.arange(n + 1)
-    prev_prev, prev = None, np.broadcast_to(j, (b, n + 1))
+    prev = np.broadcast_to(j, (b, n + 1))
     for i in range(1, m + 1):
         base = np.empty((b, n + 1), dtype=np.int64)
         base[:, 0] = i
         base[:, 1:] = np.minimum(prev[:, 1:] + 1, prev[:, :-1] + ~eq[:, i - 1])
-        if transpositions and i > 1:
-            swapped = eq[:, i - 1, :-1] & eq[:, i - 2, 1:]
-            np.minimum(base[:, 2:], prev_prev[:, :-2] + 1, out=base[:, 2:], where=swapped)
-        prev_prev, prev = prev, np.minimum.accumulate(base - j, axis=1) + j
+        prev = np.minimum.accumulate(base - j, axis=1) + j
     return prev[:, n]
 
 
-def edit_distance(a, b, cfg: EdConfig | None = None) -> int:
-    """Minimum insert/delete/substitute count turning a into b.
-
-    Adjacent transpositions also cost 1 when cfg.allow_transpositions
-    (optimal string alignment variant).
-    """
+def edit_distance(a, b) -> int:
+    """Minimum insert/delete/substitute count turning a into b."""
     a, b = list(a), list(b)
     eq = np.array([[x == y for y in b] for x in a], dtype=bool).reshape(1, len(a), len(b))
-    return int(_edit_distances(eq, (cfg or EdConfig()).allow_transpositions)[0])
+    return int(_edit_distances(eq)[0])
 
 
-def _normalized_eds(cands: list, gt, cfg: EdConfig) -> np.ndarray:
+def _normalized_eds(cands: list, gt) -> np.ndarray:
     """(3, K) edit distances divided by |gt| of K equal-length candidates,
     on the verb, noun and action axes (the rows of AXES)."""
     if len(gt) == 0:
@@ -84,14 +69,14 @@ def _normalized_eds(cands: list, gt, cfg: EdConfig) -> np.ndarray:
     ref = np.array([(a.verb, a.noun) for a in gt], dtype=np.int64)
     eq = pred.reshape(len(cands), len(cands[0]), 1, 2) == ref
     eq = np.concatenate([eq[..., 0], eq[..., 1], eq.all(axis=-1)])
-    return _edit_distances(eq, cfg.allow_transpositions).reshape(3, len(cands)) / len(gt)
+    return _edit_distances(eq).reshape(3, len(cands)) / len(gt)
 
 
-def normalized_ed(pred, gt, axis: str, cfg: EdConfig | None = None) -> float:
+def normalized_ed(pred, gt, axis: str) -> float:
     """Edit distance on one axis, divided by |gt|."""
     if axis not in AXES:
         raise ConfigError(f"unknown scoring axis: {axis!r}")
-    return float(_normalized_eds([pred], gt, cfg or EdConfig())[AXES.index(axis), 0])
+    return float(_normalized_eds([pred], gt)[AXES.index(axis), 0])
 
 
 @dataclass
@@ -108,12 +93,12 @@ class EvalRecord:
     best_action: int
 
 
-def score_instance(cands: CandidateSet, gt, cfg: EdConfig | None = None) -> EvalRecord:
+def score_instance(cands: CandidateSet, gt) -> EvalRecord:
     """Independent min over candidates per axis; winners may differ (the
     lowest candidate index wins a tie)."""
     if not cands.candidates:
         raise ConfigError("candidate set is empty")
-    scores = _normalized_eds(cands.candidates, gt, cfg or EdConfig())
+    scores = _normalized_eds(cands.candidates, gt)
     verb, noun, action = (int(w) for w in scores.argmin(axis=1))
     return EvalRecord(
         instance_id=cands.instance_id,
@@ -174,7 +159,6 @@ def evaluate(
     test_videos: list[AnnotatedVideo],
     window: WindowConfig,
     gen: GenerationConfig,
-    cfg: EdConfig,
     mode: str,
     candidate_fn=None,
 ) -> EvalReport:
@@ -191,9 +175,9 @@ def evaluate(
             return generate_candidates(params, space, inst.observed, window.z_fwd,
                                        gen, mode, instance_id=inst.instance_id)
 
-    records = [score_instance(candidate_fn(inst), inst.future, cfg) for inst in instances]
-    config = {"ed": dataclasses.asdict(cfg), "gen": dataclasses.asdict(gen),
-              "window": dataclasses.asdict(window), "preamble": mode}
+    records = [score_instance(candidate_fn(inst), inst.future) for inst in instances]
+    config = {"gen": dataclasses.asdict(gen), "window": dataclasses.asdict(window),
+              "preamble": mode}
     return EvalReport(
         records=records,
         mean_verb=float(np.mean([r.ed_verb for r in records])),

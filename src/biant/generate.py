@@ -22,18 +22,13 @@ from .prompt import TokenSpace, decode_actions, encode_prompt, target_masks
 from .sequence import FORWARD
 from .vocab import ActionLabel
 
-GREEDY_FIRST = "greedy_first"
-ALL_SAMPLED = "all_sampled"
-STRATEGIES = (GREEDY_FIRST, ALL_SAMPLED)
-
-
 @dataclass
 class GenerationConfig:
-    """How many candidates to decode and how to randomize them."""
+    """How many candidates to decode and how to randomize them: candidate 0
+    is greedy, the other k - 1 are sampled at ``temperature``."""
 
     k: int = 5
     temperature: float = 1.0
-    strategy: str = GREEDY_FIRST
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -41,8 +36,6 @@ class GenerationConfig:
             raise ConfigError("k must be >= 1")
         if self.temperature <= 0:
             raise ConfigError("temperature must be > 0")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy: {self.strategy!r}")
 
 
 @dataclass
@@ -119,8 +112,7 @@ def generate_candidates(
 ) -> CandidateSet:
     """Decode k constrained candidates from an observed action prefix."""
     prompt = encode_prompt(space, mode, FORWARD, observed)
-    rngs = [None if cfg.strategy == GREEDY_FIRST and index == 0
-            else _candidate_rng(cfg.seed, instance_id, index) for index in range(cfg.k)]
+    rngs = [None] + [_candidate_rng(cfg.seed, instance_id, i) for i in range(1, cfg.k)]
     emitted = _decode_one(params, space, prompt, z, cfg.temperature, rngs)
     return CandidateSet(instance_id, [tuple(decode_actions(space, row)) for row in emitted])
 

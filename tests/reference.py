@@ -27,8 +27,8 @@ from biant.prompt import BOS, CTRL_FWD, DESC_LEN, EOS, SEP, SPECIAL_TOKEN
 from biant.vocab import ActionLabel
 
 
-def ref_edit_distance(a, b, transpositions=False):
-    """Full (m+1) x (n+1) table; optionally with adjacent transpositions."""
+def ref_edit_distance(a, b):
+    """Full (m+1) x (n+1) table."""
     a, b = list(a), list(b)
     m, n = len(a), len(b)
     d = [[0] * (n + 1) for _ in range(m + 1)]
@@ -40,18 +40,14 @@ def ref_edit_distance(a, b, transpositions=False):
         for j in range(1, n + 1):
             cost = int(a[i - 1] != b[j - 1])
             d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1, d[i - 1][j - 1] + cost)
-            if (transpositions and i > 1 and j > 1
-                    and a[i - 1] == b[j - 2] and a[i - 2] == b[j - 1]):
-                d[i][j] = min(d[i][j], d[i - 2][j - 2] + 1)
     return d[m][n]
 
 
 def bfs_edit_distance(a, b, max_len=None):
     """Shortest single-edit script from a to b, found by breadth-first search.
 
-    Exact but exponential; only for tiny inputs. Plain Levenshtein moves
-    only (insert, delete, substitute), so it is not an oracle for the
-    transposition variant.
+    Exact but exponential; only for tiny inputs. Moves are insert, delete
+    and substitute.
     """
     start, target = tuple(a), tuple(b)
     alphabet = sorted(set(start) | set(target))
@@ -187,7 +183,8 @@ def _ref_decode_one(params, space, prompt, z, greedy, temperature, rng):
 
 
 def ref_generate_candidates(params, space, observed, z, cfg, mode, instance_id=""):
-    """The k candidate futures, decoded one at a time on their own streams."""
+    """The k candidate futures, decoded one at a time on their own streams;
+    candidate 0 is greedy."""
     if mode == SPECIAL_TOKEN:
         preamble = [CTRL_FWD]
     else:
@@ -198,7 +195,7 @@ def ref_generate_candidates(params, space, observed, z, cfg, mode, instance_id="
     digest = int.from_bytes(hashlib.sha256(instance_id.encode("utf-8")).digest()[:8], "big")
     candidates = []
     for index in range(cfg.k):
-        greedy = cfg.strategy == "greedy_first" and index == 0
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, digest, index]))
-        candidates.append(_ref_decode_one(params, space, prompt, z, greedy, cfg.temperature, rng))
+        candidates.append(_ref_decode_one(params, space, prompt, z, index == 0,
+                                          cfg.temperature, rng))
     return candidates

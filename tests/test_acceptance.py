@@ -18,7 +18,7 @@ from biant.cli import LOSS_WEIGHTS, OBS_INTERVAL, TOKEN_TYPE, run_ablation
 from biant.cli import main as cli_main
 from biant.config import RunConfig, run_config_from_document
 from biant.evaluation import AXES, edit_distance
-from biant.generate import ALL_SAMPLED, GenerationConfig, generate_candidates
+from biant.generate import GenerationConfig, generate_candidates
 from biant.model import (
     LossWeights,
     ModelConfig,
@@ -175,8 +175,7 @@ def test_05_constrained_decoding_is_grammar_complete(announce, space):
     def tally(params, observed, z, k, mode, tag, seed):
         nonlocal total, complete
         cs = generate_candidates(params, space, observed, z,
-                                 GenerationConfig(k=k, strategy=ALL_SAMPLED,
-                                                  temperature=1.3, seed=seed),
+                                 GenerationConfig(k=k, temperature=1.3, seed=seed),
                                  mode, instance_id=tag)
         total += k
         complete += sum(len(c) == z for c in cs.candidates)

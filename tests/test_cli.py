@@ -143,6 +143,19 @@ def test_train_truncated_corpus_meta_exit_code(run_dir, tmp_path, capsys):
     assert not (bad / "checkpoint.json").exists()
 
 
+def test_train_non_array_segments_exit_code(run_dir, tmp_path, capsys):
+    cfg_path, out = run_dir
+    bad = tmp_path / "run"
+    bad.mkdir()
+    shutil.copy(out / "corpus_meta.json", bad / "corpus_meta.json")
+    videos = json.loads((out / "corpus.json").read_text())
+    videos[1]["segments"] = 5
+    (bad / "corpus.json").write_text(json.dumps(videos))
+    code = main(["train", "--config", str(cfg_path), "--out", str(bad)])
+    _assert_invalid_data(code, capsys, "ParseError", videos[1]["id"], "'segments'")
+    assert not (bad / "checkpoint.json").exists()
+
+
 def _non_numeric_first_loss(text):
     header, first, *rest = text.splitlines()
     cells = first.split(",")
@@ -191,9 +204,9 @@ def test_video_len_checked_against_configured_window(tmp_path, capsys):
     {"scenario": {"motif_len_range": [1, 2, 3]}},
     {"seed": "1"},
     {"gen": {"k": 2.5}},
-    {"ed": {"allow_transpositions": 1}},
+    {"gen": {"k": True}},
 ], ids=["str_eval_stride", "str_workers", "str_in_seeds", "str_coupling",
-        "three_motif_lens", "str_seed", "float_k", "int_as_bool"])
+        "three_motif_lens", "str_seed", "float_k", "bool_as_int"])
 def test_config_value_of_wrong_type_exit_code(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -206,7 +219,10 @@ def test_config_value_of_wrong_type_exit_code(tmp_path, capsys, doc):
     {"ed": {"normalizer": "by_z"}},
     {"train": {"label_noise": 0.0}},
     {"train": {"loss_on_structure": True}},
-], ids=["ed_normalizer", "train_label_noise", "train_loss_on_structure"])
+    {"ed": {"allow_transpositions": True}},
+    {"gen": {"strategy": "all_sampled"}},
+], ids=["ed_normalizer", "train_label_noise", "train_loss_on_structure",
+        "ed_allow_transpositions", "gen_strategy"])
 def test_config_deleted_key_exit_code(tmp_path, capsys, doc):
     path = tmp_path / "old.json"
     path.write_text(json.dumps(doc))

@@ -5,7 +5,6 @@ import pytest
 from biant.config import (
     RunConfig,
     apply_overrides,
-    ed_config,
     eval_window,
     gen_config,
     load_run_config,
@@ -19,7 +18,6 @@ from biant.config import (
 )
 from biant.data import ScenarioConfig
 from biant.errors import ConfigError, ParseError
-from biant.evaluation import EdConfig
 from biant.generate import GenerationConfig
 from biant.model import LossWeights, ModelConfig
 from biant.prompt import DETAILED_DESCRIPTION, SPECIAL_TOKEN, TokenSpace
@@ -145,18 +143,14 @@ def test_default_run_config_builds_component_defaults():
     assert train_config(cfg) == TrainConfig(window=cfg.window, weights=cfg.weights, seed=2)
     assert model_config(cfg, space) == ModelConfig(vocab_size=space.size, seed=1)
     assert gen_config(cfg) == GenerationConfig(seed=3)
-    assert ed_config(cfg) == EdConfig()
 
 
 def test_builders_carry_fields():
-    cfg = RunConfig(seed=1, epochs=4, batch_size=16, lr=1e-3, k=2,
-                    allow_transpositions=True, eval_stride=9)
+    cfg = RunConfig(seed=1, epochs=4, batch_size=16, lr=1e-3, k=2, eval_stride=9)
     tc = train_config(cfg)
     assert (tc.epochs, tc.batch_size, tc.lr) == (4, 16, 1e-3)
     gc = gen_config(cfg)
     assert gc.k == 2
-    ec = ed_config(cfg)
-    assert ec.allow_transpositions is True
     ew = eval_window(cfg)
     assert ew.stride == 9
     assert ew.n_obs_fwd == cfg.window.n_obs_fwd

@@ -122,6 +122,10 @@ def test_load_annotations_parse_errors(tmp_path, vocab):
     path.write_text(json.dumps([{"id": "v", "segments": [{"verb": "take"}]}]))
     with pytest.raises(ParseError, match="segment #0"):
         load_annotations(path, vocab)
+    for segments in (5, None):
+        path.write_text(json.dumps([{"id": "v7", "segments": segments}]))
+        with pytest.raises(ParseError, match="video 'v7' 'segments' must be an array"):
+            load_annotations(path, vocab)
     path.write_text("[]")
     assert load_annotations(path, vocab) == []
 
@@ -149,3 +153,11 @@ def test_load_corpus_bad_meta(tmp_path, vocab):
     meta.write_text(json.dumps({"split": {}}))
     with pytest.raises(ParseError, match="bad corpus metadata"):
         load_corpus(ann, meta, vocab)
+    save_corpus_meta(corpus, meta)
+    good = json.loads(meta.read_text())
+    unknown = {**good["split"], "test": good["split"]["test"] + ["nope"]}
+    shared = {**good["split"], "test": good["split"]["train"][:2]}
+    for split, named in ((unknown, "nope"), (shared, good["split"]["train"][0])):
+        meta.write_text(json.dumps({**good, "split": split}))
+        with pytest.raises(ParseError, match=f"listed once and name one video.*{named}"):
+            load_corpus(ann, meta, vocab)

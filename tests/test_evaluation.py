@@ -15,7 +15,6 @@ from biant.config import RunConfig, apply_overrides, run_config_from_document, t
 from biant.errors import ConfigError, EmptyReference, EmptyTestSet
 from biant.evaluation import (
     AXES,
-    EdConfig,
     EvalReport,
     edit_distance,
     evaluate,
@@ -30,8 +29,6 @@ from biant.vocab import ActionLabel
 
 from conftest import SMALL_CONFIG, make_video
 from reference import bfs_edit_distance, ref_edit_distance
-
-OSA = EdConfig(allow_transpositions=True)
 
 
 def labels(pairs):
@@ -48,15 +45,6 @@ def test_edit_distance_examples():
     assert edit_distance([1, 2, 3], [2, 3, 4]) == 2
 
 
-def test_edit_distance_transposition_variant():
-    assert edit_distance("ab", "ba") == 2
-    assert edit_distance("ab", "ba", OSA) == 1
-    assert edit_distance("abcd", "abdc", OSA) == 1
-    # Optimal string alignment, not unrestricted Damerau: no edits inside a
-    # transposed pair, so this stays 3 rather than dropping to 2.
-    assert edit_distance("ca", "abc", OSA) == 3
-
-
 seqs = st.lists(st.integers(0, 3), max_size=7)
 
 
@@ -64,7 +52,6 @@ seqs = st.lists(st.integers(0, 3), max_size=7)
 @settings(max_examples=200, deadline=None)
 def test_edit_distance_matches_full_matrix_reference(a, b):
     assert edit_distance(a, b) == ref_edit_distance(a, b)
-    assert edit_distance(a, b, OSA) == ref_edit_distance(a, b, transpositions=True)
 
 
 @given(a=st.lists(st.integers(0, 2), max_size=3), b=st.lists(st.integers(0, 2), max_size=3))
@@ -161,22 +148,21 @@ def test_score_instance_more_candidates_never_hurt():
 small_actions = st.builds(ActionLabel, st.integers(0, 2), st.integers(0, 2))
 
 
-@given(data=st.data(), transpositions=st.booleans())
+@given(data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_score_instance_matches_per_candidate_reference(data, transpositions):
+def test_score_instance_matches_per_candidate_reference(data):
     """Per axis, the min over candidates of the full-matrix oracle, won by the
     lowest tied index; candidates of any common length, empty included."""
     gt = data.draw(st.lists(small_actions, min_size=1, max_size=6))
     length = data.draw(st.integers(0, 8))
     cands = data.draw(st.lists(st.lists(small_actions, min_size=length, max_size=length)
                                .map(tuple), min_size=1, max_size=20))
-    score = score_instance(CandidateSet("i", cands), gt,
-                           EdConfig(allow_transpositions=transpositions))
+    score = score_instance(CandidateSet("i", cands), gt)
     for key, value, winner in ((lambda a: a.verb, score.ed_verb, score.best_verb),
                                (lambda a: a.noun, score.ed_noun, score.best_noun),
                                (lambda a: a, score.ed_action, score.best_action)):
-        scores = [ref_edit_distance([key(a) for a in c], [key(a) for a in gt], transpositions)
-                  / len(gt) for c in cands]
+        scores = [ref_edit_distance([key(a) for a in c], [key(a) for a in gt]) / len(gt)
+                  for c in cands]
         assert value == min(scores)
         assert winner == scores.index(min(scores))
 
@@ -188,12 +174,12 @@ def test_score_instance_rejects_empty():
 
 def eval_setup():
     videos = [make_video("vidA", 30, seed=50), make_video("vidB", 29, seed=51)]
-    return videos, WindowConfig(), GenerationConfig(k=1, seed=0), EdConfig()
+    return videos, WindowConfig(), GenerationConfig(k=1, seed=0)
 
 
 def test_evaluate_oracle_candidates_score_zero(space):
-    videos, window, gen, ed = eval_setup()
-    report = evaluate(None, space, videos, window, gen, ed, SPECIAL_TOKEN,
+    videos, window, gen = eval_setup()
+    report = evaluate(None, space, videos, window, gen, SPECIAL_TOKEN,
                       candidate_fn=lambda inst: CandidateSet(inst.instance_id,
                                                              [tuple(inst.future)]))
     assert report.num_instances == 5
@@ -203,9 +189,9 @@ def test_evaluate_oracle_candidates_score_zero(space):
 
 
 def test_evaluate_constant_candidates_score_poorly(space):
-    videos, window, gen, ed = eval_setup()
+    videos, window, gen = eval_setup()
     constant = tuple(ActionLabel(0, 0) for _ in range(window.z_fwd))
-    report = evaluate(None, space, videos, window, gen, ed, SPECIAL_TOKEN,
+    report = evaluate(None, space, videos, window, gen, SPECIAL_TOKEN,
                       candidate_fn=lambda inst: CandidateSet(inst.instance_id, [constant]))
     assert report.mean_verb > 0.5
     assert report.mean_action > 0.7
@@ -213,11 +199,11 @@ def test_evaluate_constant_candidates_score_poorly(space):
 
 def test_evaluate_default_path_matches_injected_generator(tiny_params, space):
     videos = [make_video("vidC", 28, seed=52)]
-    window, gen, ed = WindowConfig(), GenerationConfig(k=2, seed=4), EdConfig()
+    window, gen = WindowConfig(), GenerationConfig(k=2, seed=4)
     from biant.generate import generate_candidates
 
-    direct = evaluate(tiny_params, space, videos, window, gen, ed, SPECIAL_TOKEN)
-    injected = evaluate(tiny_params, space, videos, window, gen, ed, SPECIAL_TOKEN,
+    direct = evaluate(tiny_params, space, videos, window, gen, SPECIAL_TOKEN)
+    injected = evaluate(tiny_params, space, videos, window, gen, SPECIAL_TOKEN,
                         candidate_fn=lambda inst: generate_candidates(
                             tiny_params, space, inst.observed, window.z_fwd, gen,
                             SPECIAL_TOKEN, instance_id=inst.instance_id))
@@ -228,15 +214,15 @@ def test_evaluate_default_path_matches_injected_generator(tiny_params, space):
 
 
 def test_evaluate_empty_test_set(space):
-    _, window, gen, ed = eval_setup()
+    _, window, gen = eval_setup()
     with pytest.raises(EmptyTestSet):
-        evaluate(None, space, [make_video("v", 27, seed=1)], window, gen, ed,
+        evaluate(None, space, [make_video("v", 27, seed=1)], window, gen,
                  SPECIAL_TOKEN, candidate_fn=lambda inst: None)
 
 
 def test_eval_report_round_trip(tmp_path, space):
-    videos, window, gen, ed = eval_setup()
-    report = evaluate(None, space, videos, window, gen, ed, SPECIAL_TOKEN,
+    videos, window, gen = eval_setup()
+    report = evaluate(None, space, videos, window, gen, SPECIAL_TOKEN,
                       candidate_fn=lambda inst: CandidateSet(inst.instance_id,
                                                              [tuple(inst.future)]))
     path = tmp_path / "report.json"

@@ -7,9 +7,6 @@ import pytest
 from biant import generate
 from biant.errors import ConfigError, EmptySupport
 from biant.generate import (
-    ALL_SAMPLED,
-    GREEDY_FIRST,
-    STRATEGIES,
     CandidateSet,
     GenerationConfig,
     _candidate_rng,
@@ -35,9 +32,7 @@ def test_generation_config_validation():
         GenerationConfig(k=0)
     with pytest.raises(ConfigError):
         GenerationConfig(temperature=0.0)
-    with pytest.raises(ConfigError):
-        GenerationConfig(strategy="beam")
-    GenerationConfig(k=1, temperature=0.5, strategy=ALL_SAMPLED)
+    GenerationConfig(k=1, temperature=0.5)
 
 
 def test_candidate_set_rejects_mixed_lengths():
@@ -80,7 +75,7 @@ def test_renormalize_masked_rows_match_one_dimensional_calls():
 @pytest.mark.parametrize("vocab_name", ["demo", "scaled"])
 def test_batched_cached_decoder_matches_full_prefix_oracle(space, vocab_name, mode):
     """Same candidates as decoding one candidate at a time over the full
-    prefix, for every strategy, temperature, K and z in the matrix."""
+    prefix, for every temperature, K and z in the matrix."""
     if vocab_name == "scaled":
         space = TokenSpace(scaled_vocabulary())
     cfg = ModelConfig(vocab_size=space.size, context_len=96, embed_dim=8,
@@ -91,20 +86,19 @@ def test_batched_cached_decoder_matches_full_prefix_oracle(space, vocab_name, mo
         params.arrays[name] = rng.normal(0.0, 0.4, arr.shape)
     obs = observed_prefix()
     distinct = set()
-    cases = [(strategy, temperature, k, z) for strategy in STRATEGIES
-             for temperature in (0.05, 1.0, 3.0) for k in (1, 7) for z in (1, 20)]
-    for strategy, temperature, k, z in cases + [(GREEDY_FIRST, 3.0, 20, 20)]:
-        gen = GenerationConfig(k=k, temperature=temperature, strategy=strategy, seed=5)
+    cases = [(temperature, k, z) for temperature in (0.05, 1.0, 3.0)
+             for k in (1, 7) for z in (1, 20)]
+    for temperature, k, z in cases + [(3.0, 20, 20)]:
+        gen = GenerationConfig(k=k, temperature=temperature, seed=5)
         fast = generate_candidates(params, space, obs, z, gen, mode, "v:t0003")
         slow = ref_generate_candidates(params, space, obs, z, gen, mode, "v:t0003")
-        assert fast.candidates == slow, (strategy, temperature, k, z)
+        assert fast.candidates == slow, (temperature, k, z)
         distinct.update(slow)
     assert len(distinct) > 20
 
 
 @pytest.mark.parametrize("temperature", [0.05, 3.0])
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_vectorised_draw_matches_generator_choice(space, monkeypatch, strategy, temperature):
+def test_vectorised_draw_matches_generator_choice(space, monkeypatch, temperature):
     """Every token equals a per-row ``Generator.choice(p=row)`` (argmax for
     the greedy row) on the distribution the decoder built, and every stream
     ends where 3z such calls leave it."""
@@ -137,11 +131,10 @@ def test_vectorised_draw_matches_generator_choice(space, monkeypatch, strategy, 
 
     monkeypatch.setattr(generate, "_forward_batch", fake_forward)
     monkeypatch.setattr(generate, "renormalize_masked", recording_renormalize)
-    greedy = [strategy == GREEDY_FIRST and row == 0 for row in range(k)]
-    rngs = [None if g else _candidate_rng(4, "i", row) for row, g in enumerate(greedy)]
+    rngs = [None] + [_candidate_rng(4, "i", row) for row in range(1, k)]
     emitted = _decode_one(None, space, [BOS], z, temperature, rngs)
 
-    oracle = [None if g else _candidate_rng(4, "i", row) for row, g in enumerate(greedy)]
+    oracle = [None] + [_candidate_rng(4, "i", row) for row in range(1, k)]
     assert len(dists) == 3 * z
     single = 0
     for step, dist in enumerate(dists):
@@ -157,15 +150,15 @@ def test_vectorised_draw_matches_generator_choice(space, monkeypatch, strategy, 
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("strategy,k", [(GREEDY_FIRST, 1), (ALL_SAMPLED, 2)])
-def test_non_finite_admitted_logit_is_empty_support(tiny_params, space, strategy, k, bad):
-    """A NaN or infinite score anywhere in the admitted set is a named error
-    on the greedy and on the sampled path alike."""
+@pytest.mark.parametrize("k", [1, 2])
+def test_non_finite_admitted_logit_is_empty_support(tiny_params, space, k, bad):
+    """A NaN or infinite score anywhere in the admitted set is a named error,
+    with the greedy row alone (k = 1) and with a sampled row beside it."""
     params = init_params(tiny_params.config)
     params.arrays["b_out"][space.verb_start + 2] = bad
     with np.errstate(invalid="ignore"), pytest.raises(EmptySupport):
         generate_candidates(params, space, observed_prefix(), 3,
-                            GenerationConfig(k=k, strategy=strategy, seed=1), SPECIAL_TOKEN, "i")
+                            GenerationConfig(k=k, seed=1), SPECIAL_TOKEN, "i")
 
 
 def test_generate_shapes_and_lengths(tiny_params, space):
@@ -218,14 +211,6 @@ def test_low_temperature_sampling_matches_greedy(tiny_params, space):
                                SPECIAL_TOKEN, "i")
     assert cold.candidates[0] == greedy.candidates[0]
     assert cold.candidates[1] == greedy.candidates[0]
-
-
-def test_all_sampled_has_no_greedy_candidate(tiny_params, space):
-    obs = observed_prefix()
-    sampled = generate_candidates(tiny_params, space, obs, 6,
-                                  GenerationConfig(k=6, strategy=ALL_SAMPLED, seed=3),
-                                  SPECIAL_TOKEN, "i")
-    assert len(set(sampled.candidates)) > 1
 
 
 def test_generate_rejects_bad_z(tiny_params, space):
