@@ -13,7 +13,6 @@ from .evaluation import (
     EvalReport,
     edit_distance,
     evaluate,
-    normalized_ed,
     score_instance,
 )
 from .generate import CandidateSet, GenerationConfig, generate_candidates, renormalize_masked
@@ -22,7 +21,6 @@ from .model import (
     LossWeights,
     ModelConfig,
     Parameters,
-    combined_loss,
     forward,
     gradient,
     gradient_check,
@@ -31,7 +29,6 @@ from .model import (
     load_checkpoint,
     optimizer_step,
     save_checkpoint,
-    task_loss,
 )
 from .prompt import (
     DETAILED_DESCRIPTION,

@@ -2,8 +2,8 @@
 
 Every command echoes its fully-resolved config into the run directory, so a
 run is reproducible from the artifacts alone; an ablation cell is one such run,
-in memory. Exit codes: 0 success, 2 missing file, 3 invalid config or data,
-4 numerical divergence.
+in memory. Exit codes: 0 success, 2 missing or unreadable file, 3 invalid
+config or data, 4 numerical divergence.
 """
 
 from __future__ import annotations
@@ -370,6 +370,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except FileNotFoundError as err:
         print(f"error: missing file: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:  # e.g. a directory where a file belongs, or the reverse
+        print(f"error: unreadable file: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
     except NumericalDivergence as err:
         print(f"error: numerical divergence: {err}", file=sys.stderr)

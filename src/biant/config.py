@@ -58,6 +58,8 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        if min([self.seed, *self.ablate_seeds]) < 0:
+            raise ConfigError("seeds must be >= 0")
         if self.preamble not in PREAMBLE_MODES:
             raise ConfigError(f"unknown preamble mode: {self.preamble!r}")
         if self.eval_stride < 1:
@@ -71,6 +73,10 @@ class RunConfig:
                 f"video_len {self.scenario.video_len} cannot fit the configured "
                 f"{self.window.window_len}-segment window"
             )
+        # Each component config checks its own fields, so a bad value fails at load.
+        train_config(self)
+        gen_config(self)
+        ModelConfig(vocab_size=1, **_section(self, "model"))
 
 
 def _names(cls) -> list[str]:

@@ -14,7 +14,6 @@ with text labels resolved against a vocabulary on load.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -63,7 +62,6 @@ class SyntheticCorpus:
     val_ids: list[str]
     test_ids: list[str]
     sanity: dict[str, float]
-    config: ScenarioConfig
     motifs: dict = field(default_factory=dict, repr=False)
 
     def _subset(self, ids: list[str]) -> list[AnnotatedVideo]:
@@ -169,7 +167,6 @@ def generate_corpus(vocab: Vocabulary, cfg: ScenarioConfig) -> SyntheticCorpus:
         val_ids=ids[n_train : n_train + n_val],
         test_ids=ids[n_train + n_val :],
         sanity=sanity,
-        config=cfg,
         motifs={"scene": scene_motifs, "shared": shared_motifs},
     )
 
@@ -216,7 +213,6 @@ def load_annotations(path: str | Path, vocab: Vocabulary) -> list[AnnotatedVideo
 
 def save_corpus_meta(corpus: SyntheticCorpus, path: str | Path) -> None:
     doc = {
-        "config": dataclasses.asdict(corpus.config),
         "split": {"train": corpus.train_ids, "val": corpus.val_ids, "test": corpus.test_ids},
         "sanity": corpus.sanity,
     }
@@ -239,7 +235,6 @@ def load_corpus(annotations_path: str | Path, meta_path: str | Path,
             val_ids=list(split["val"]),
             test_ids=list(split["test"]),
             sanity=dict(meta.get("sanity", {})),
-            config=ScenarioConfig(**meta["config"]),
         )
         listed = Counter(corpus.train_ids + corpus.val_ids + corpus.test_ids)
     except (KeyError, TypeError, ValueError) as err:

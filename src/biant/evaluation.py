@@ -72,13 +72,6 @@ def _normalized_eds(cands: list, gt) -> np.ndarray:
     return _edit_distances(eq).reshape(3, len(cands)) / len(gt)
 
 
-def normalized_ed(pred, gt, axis: str) -> float:
-    """Edit distance on one axis, divided by |gt|."""
-    if axis not in AXES:
-        raise ConfigError(f"unknown scoring axis: {axis!r}")
-    return float(_normalized_eds([pred], gt)[AXES.index(axis), 0])
-
-
 @dataclass
 class EvalRecord:
     """Per-axis minima over one instance's candidates, with the winning

@@ -211,29 +211,6 @@ def forward(params: Parameters, tokens) -> np.ndarray:
     return _softmax(logits[0])
 
 
-def task_loss(dists: np.ndarray, enc: EncodedInstance) -> float:
-    """Teacher-forced cross-entropy summed over the masked target positions.
-
-    ``dists[i]`` is the model's distribution for the token at position i+1,
-    so a mask-true position j is charged -log dists[j-1][tokens[j]].
-    """
-    n = len(enc.tokens)
-    if dists.shape[0] != n or len(enc.loss_mask) != n:
-        raise ShapeMismatch(
-            f"dists rows {dists.shape[0]} vs tokens {n} vs mask {len(enc.loss_mask)}"
-        )
-    targets = np.nonzero(enc.loss_mask)[0]
-    if targets.size and targets[0] == 0:
-        raise ShapeMismatch("loss mask cannot be true at position 0")
-    probs = dists[targets - 1, enc.tokens[targets]]
-    return float(-np.log(probs).sum())
-
-
-def combined_loss(l_fwd: float, l_bwd: float, w: LossWeights) -> float:
-    """Weighted joint objective: alpha * forward loss + beta * backward loss."""
-    return w.alpha * l_fwd + w.beta * l_bwd
-
-
 def _stack_batch(batch: list[EncodedInstance]) -> tuple[np.ndarray, np.ndarray]:
     """Right-pad a batch with PAD tokens; padded positions carry no loss."""
     if not batch:
@@ -244,6 +221,8 @@ def _stack_batch(batch: list[EncodedInstance]) -> tuple[np.ndarray, np.ndarray]:
     for i, e in enumerate(batch):
         tokens[i, : len(e.tokens)] = e.tokens
         mask[i, : len(e.loss_mask)] = e.loss_mask
+    if mask[:, 0].any():  # no position predicts token 0
+        raise ShapeMismatch("loss mask cannot be true at position 0")
     return tokens, mask
 
 

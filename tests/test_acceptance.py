@@ -22,16 +22,17 @@ from biant.generate import GenerationConfig, generate_candidates
 from biant.model import (
     LossWeights,
     ModelConfig,
-    combined_loss,
+    Parameters,
+    batch_objective,
     gradient,
     gradient_check,
     init_adam,
     init_params,
     make_gradcheck_case,
     optimizer_step,
-    task_loss,
 )
-from biant.prompt import DETAILED_DESCRIPTION, SPECIAL_TOKEN, encode_instance
+from biant.model import _gradient_detailed, _target_losses
+from biant.prompt import DETAILED_DESCRIPTION, SPECIAL_TOKEN, TokenSpace, encode_instance
 from biant.sequence import (
     ACTION_AXIS,
     WindowConfig,
@@ -39,6 +40,7 @@ from biant.sequence import (
     make_forward_instances,
 )
 from biant.train import TrainConfig, train
+from biant.vocab import scaled_vocabulary
 
 from conftest import SMALL_CONFIG, make_video
 from reference import ref_edit_distance
@@ -93,14 +95,30 @@ def test_02_analytic_gradient_matches_finite_differences(announce):
 
 
 def test_03_joint_loss_linearity_and_forward_only_equivalence(announce, space):
+    # The training objective on one (forward, backward) pair is
+    # (alpha * l_fwd + beta * l_bwd) / 2, so it must equal
+    # alpha * J(1, 0) + beta * J(0, 1) bitwise, and J(1, 0), J(0, 1) must be
+    # each direction's own loss over 2.
     rng = np.random.default_rng(1)
     max_diff = 0.0
-    for _ in range(100):
-        l_f, l_b = rng.uniform(0, 50, 2)
-        alpha, beta = rng.uniform(0.01, 2.0, 2)
-        got = combined_loss(l_f, l_b, LossWeights(alpha, beta))
-        max_diff = max(max_diff, abs(got - (alpha * l_f + beta * l_b)))
-    linear_ok = max_diff == 0.0
+    direction_ok = True
+    pairs = 0
+    for pair_space in (space, TokenSpace(scaled_vocabulary())):
+        params = init_params(small_model(pair_space))
+        for i in range(80):
+            fwd = make_forward_instances(make_video("p", 28, seed=800 + i), WindowConfig())[0]
+            mode = (SPECIAL_TOKEN, DETAILED_DESCRIPTION)[i % 2]
+            pair = [encode_instance(pair_space, inst, mode)
+                    for inst in (fwd, make_backward_instance(fwd, 16))]
+            alpha, beta = rng.uniform(0.01, 2.0, 2)
+            j_fwd = batch_objective(params, pair, LossWeights(1.0, 0.0))
+            j_bwd = batch_objective(params, pair, LossWeights(0.0, 1.0))
+            got = batch_objective(params, pair, LossWeights(alpha, beta))
+            max_diff = max(max_diff, abs(got - (alpha * j_fwd + beta * j_bwd)))
+            l_fwd, l_bwd = _gradient_detailed(params, pair, LossWeights())[1].per_instance
+            direction_ok = direction_ok and (j_fwd, j_bwd) == (l_fwd / 2, l_bwd / 2)
+            pairs += 1
+    linear_ok = max_diff == 0.0 and direction_ok
 
     # A loop with no backward code path at all, snapshotted every epoch.
     videos = [make_video("a0", 30, seed=70), make_video("a1", 29, seed=71)]
@@ -134,7 +152,9 @@ def test_03_joint_loss_linearity_and_forward_only_equivalence(announce, space):
         "joint loss is linear in (alpha, beta) and beta=0 training is "
         "bitwise forward-only",
         linear_ok and bitwise_ok,
-        f"100 random triples, max |combined - (a*l_f + b*l_b)| = {max_diff:.1e}; "
+        f"{pairs} (fwd, bwd) pairs at V=42 and V=660, max |J(a,b) - (a*J(1,0) + "
+        f"b*J(0,1))| = {max_diff:.1e}, J(1,0) and J(0,1) each one direction's loss: "
+        f"{direction_ok}; "
         f"3-epoch trajectory bitwise-equal to the backward-free loop: {bitwise_ok}",
     )
 
@@ -290,32 +310,36 @@ def test_08_pipeline_is_byte_deterministic(announce, tmp_path):
 
 
 def test_09_closed_form_loss_values(announce, space):
-    v = space.size
+    # Uniform: a zero output head predicts 1/V everywhere, so the training
+    # objective of one instance (weight 1) is M * ln V. Perfect: one-hot
+    # hidden rows through a 1000 * I head put all the mass on each target.
     worst_uniform = 0.0
-    perfect_ok = True
+    worst_perfect = 0.0
     cases = 0
-    for seed in (0, 1):
-        video = make_video("l", 29, seed=600 + seed)
-        for fwd in make_forward_instances(video, WindowConfig()):
-            for inst in (fwd, make_backward_instance(fwd, 16)):
-                for mode in (SPECIAL_TOKEN, DETAILED_DESCRIPTION):
-                    enc = encode_instance(space, inst, mode)
-                    n = len(enc.tokens)
-                    m = int(enc.loss_mask.sum())
-                    uniform = np.full((n, v), 1.0 / v)
-                    worst_uniform = max(
-                        worst_uniform,
-                        abs(task_loss(uniform, enc) - m * math.log(v)),
-                    )
-                    perfect = np.zeros((n, v))
-                    targets = np.nonzero(enc.loss_mask)[0]
-                    perfect[targets - 1, enc.tokens[targets]] = 1.0
-                    if task_loss(perfect, enc) != 0.0:
-                        perfect_ok = False
-                    cases += 1
+    for loss_space in (space, TokenSpace(scaled_vocabulary())):
+        v = loss_space.size
+        params = init_params(small_model(loss_space))
+        params.arrays["w_out"][:] = 0.0
+        params.arrays["b_out"][:] = 0.0
+        head = Parameters(params.config, {"w_out": 1000.0 * np.eye(v), "b_out": np.zeros(v)})
+        for seed in (0, 1):
+            video = make_video("l", 29, seed=600 + seed)
+            for fwd in make_forward_instances(video, WindowConfig()):
+                for inst in (fwd, make_backward_instance(fwd, 16)):
+                    for mode in (SPECIAL_TOKEN, DETAILED_DESCRIPTION):
+                        enc = encode_instance(loss_space, inst, mode)
+                        m = int(enc.loss_mask.sum())
+                        uniform = batch_objective(params, [enc], LossWeights())
+                        worst_uniform = max(worst_uniform, abs(uniform - m * math.log(v)))
+                        targets = enc.tokens[enc.loss_mask]
+                        losses, _ = _target_losses(head, np.eye(v)[targets], np.zeros(m, int),
+                                                   targets, [enc], LossWeights())
+                        worst_perfect = max(worst_perfect, abs(float(losses.per_instance[0])))
+                        cases += 1
     announce(
-        "teacher-forced loss hits its closed forms",
-        worst_uniform <= 1e-9 and perfect_ok,
-        f"{cases} encodings: uniform loss within {worst_uniform:.1e} of M*ln(V) "
-        f"(tolerance 1e-9), perfect-prediction loss exactly 0",
+        "training objective hits its closed forms",
+        worst_uniform <= 1e-9 and worst_perfect == 0.0,
+        f"{cases} encodings at V=42 and V=660: uniform-head loss within "
+        f"{worst_uniform:.1e} of M*ln(V) (tolerance 1e-9), perfect-prediction "
+        f"loss at most {worst_perfect:.1e} (must be exactly 0)",
     )

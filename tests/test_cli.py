@@ -3,6 +3,7 @@ import shutil
 
 import pytest
 
+from biant import cli
 from biant.cli import LOSS_WEIGHTS, main, run_ablation
 from biant.config import load_run_config
 from biant.vocab import DEMO_NOUNS, DEMO_VERBS
@@ -229,6 +230,47 @@ def test_config_deleted_key_exit_code(tmp_path, capsys, doc):
     code = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")])
     _assert_invalid_data(code, capsys, "ConfigError", "unknown keys", next(iter(doc)))
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("doc, flags, needle", [
+    ({}, ["gen-data", "--seed", "-1"], "seeds must be >= 0"),
+    ({"seed": -1}, ["gen-data"], "seeds must be >= 0"),
+    ({"ablate": {"seeds": [-1]}}, ["ablate", "--grid", "token_type"], "seeds must be >= 0"),
+    ({"train": {"epochs": 0}}, ["gen-data"], "epochs must be >= 1"),
+    ({"model": {"num_heads": 3}}, ["gen-data"], "not divisible by num_heads=3"),
+    ({"gen": {"temperature": 0}}, ["gen-data"], "temperature must be > 0"),
+], ids=["seed_flag", "seed_key", "ablate_seed", "zero_epochs", "indivisible_heads",
+        "zero_temperature"])
+def test_config_value_out_of_range_exit_code(tmp_path, capsys, doc, flags, needle):
+    """Every section is checked when the config loads, before any work."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main([*flags, "--config", str(path), "--out", str(tmp_path / "o")])
+    _assert_invalid_data(code, capsys, "ConfigError", needle)
+    assert not (tmp_path / "o").exists()
+
+
+def test_ablate_bad_flag_fails_before_training(run_dir, tmp_path, capsys, monkeypatch):
+    cfg_path, _ = run_dir
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("an ablation cell trained"))
+    code = main(["ablate", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                 "--grid", "token_type", "--k", "0"])
+    _assert_invalid_data(code, capsys, "ConfigError", "k must be >= 1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--out", "{file}"],
+    ["gen-data", "--config", "{dir}", "--out", "{dir}/o"],
+    ["eval", "--config", "{cfg}", "--out", "{out}", "--checkpoint", "{dir}"],
+], ids=["out_is_file", "config_is_dir", "checkpoint_is_dir"])
+def test_unusable_path_exit_code(run_dir, tmp_path, capsys, argv):
+    """A file where a directory belongs, or the reverse, is exit 2."""
+    cfg_path, out = run_dir
+    (tmp_path / "file").write_text("")
+    paths = {"file": tmp_path / "file", "dir": tmp_path, "cfg": cfg_path, "out": out}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "unreadable file" in err and "Traceback" not in err, err
 
 
 def test_train_without_corpus(tmp_path, capsys):

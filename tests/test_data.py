@@ -136,14 +136,17 @@ def test_corpus_meta_round_trip(tmp_path, vocab):
     ann, meta = tmp_path / "ann.json", tmp_path / "meta.json"
     save_annotations(corpus.videos, vocab, ann)
     save_corpus_meta(corpus, meta)
+    assert set(json.loads(meta.read_text())) == {"split", "sanity"}
     loaded = load_corpus(ann, meta, vocab)
-    assert loaded.config == cfg
     assert loaded.train_ids == corpus.train_ids
     assert loaded.val_ids == corpus.val_ids
     assert loaded.test_ids == corpus.test_ids
     assert loaded.sanity == corpus.sanity
     assert [v.segments for v in loaded.videos] == [v.segments for v in corpus.videos]
     assert [v.segments for v in loaded.train] == [v.segments for v in corpus.train]
+    # Older run directories also hold the scenario section under "config".
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), "config": {"seed": 6}}))
+    assert load_corpus(ann, meta, vocab).test_ids == corpus.test_ids
 
 
 def test_load_corpus_bad_meta(tmp_path, vocab):

@@ -18,13 +18,12 @@ from biant.evaluation import (
     EvalReport,
     edit_distance,
     evaluate,
-    normalized_ed,
     score_instance,
 )
 from biant.generate import CandidateSet, GenerationConfig
 from biant.model import LossWeights
 from biant.prompt import DETAILED_DESCRIPTION, SPECIAL_TOKEN
-from biant.sequence import ACTION_AXIS, NOUN_AXIS, VERB_AXIS, WindowConfig
+from biant.sequence import WindowConfig
 from biant.vocab import ActionLabel
 
 from conftest import SMALL_CONFIG, make_video
@@ -70,25 +69,27 @@ def test_edit_distance_metric_axioms(a, b, c):
     assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
 
 
+def normalized_eds(pred, gt):
+    """(verb, noun, action) edit distances over |gt| of one prediction."""
+    record = score_instance(CandidateSet("i", [pred]), gt)
+    return record.ed_verb, record.ed_noun, record.ed_action
+
+
 def test_normalized_ed_examples():
     gt = labels([(0, 0), (1, 1), (2, 2), (3, 3)])
-    assert normalized_ed(gt, gt, VERB_AXIS) == 0.0
+    assert normalized_eds(gt, gt) == (0.0, 0.0, 0.0)
     one_off = labels([(0, 0), (5, 1), (2, 2), (3, 3)])
-    assert normalized_ed(one_off, gt, VERB_AXIS) == 0.25
-    assert normalized_ed(one_off, gt, NOUN_AXIS) == 0.0
-    assert normalized_ed(one_off, gt, ACTION_AXIS) == 0.25
+    assert normalized_eds(one_off, gt) == (0.25, 0.0, 0.25)
     with pytest.raises(EmptyReference):
-        normalized_ed(gt, (), VERB_AXIS)
-    with pytest.raises(ConfigError):
-        normalized_ed(gt, gt, "adverb")
+        normalized_eds(gt, ())
 
 
 def test_normalized_ed_normalizers():
     """The denominator is always |gt|, whatever the prediction's length."""
     gt = labels([(0, 0), (1, 1)])
     pred = labels([(0, 0), (1, 1), (2, 2), (3, 3)])
-    assert normalized_ed(pred, gt, VERB_AXIS) == 1.0
-    assert normalized_ed(gt, pred, VERB_AXIS) == 0.5
+    assert normalized_eds(pred, gt)[0] == 1.0
+    assert normalized_eds(gt, pred)[0] == 0.5
 
 
 @given(data=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 11)), max_size=6),
@@ -96,7 +97,7 @@ def test_normalized_ed_normalizers():
 @settings(max_examples=100, deadline=None)
 def test_action_axis_equals_composite_id_encoding(data, other):
     pred, gt = labels(data), labels(other)
-    via_pairs = normalized_ed(pred, gt, ACTION_AXIS)
+    via_pairs = normalized_eds(pred, gt)[2]
     composite = edit_distance([a.verb * 12 + a.noun for a in pred],
                               [a.verb * 12 + a.noun for a in gt])
     assert via_pairs == composite / len(gt)

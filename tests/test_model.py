@@ -10,7 +10,6 @@ from biant.model import (
     LossWeights,
     ModelConfig,
     batch_objective,
-    combined_loss,
     forward,
     gradient,
     gradient_check,
@@ -20,7 +19,6 @@ from biant.model import (
     make_gradcheck_case,
     optimizer_step,
     save_checkpoint,
-    task_loss,
 )
 from biant.model import _forward_batch, _gradient_detailed
 from biant.prompt import SPECIAL_TOKEN, TokenSpace, encode_instance
@@ -28,7 +26,7 @@ from biant.sequence import BACKWARD, FORWARD, WindowConfig, make_backward_instan
 from biant.vocab import scaled_vocabulary
 
 from conftest import make_video
-from reference import ref_gradient_detailed
+from reference import ref_gradient_detailed, ref_losses_from_logits
 
 
 def small_batch(space, n=2):
@@ -100,43 +98,23 @@ def test_forward_is_causal(tiny_params):
     assert not np.array_equal(d0[5:], d1[5:])
 
 
-def test_task_loss_uniform_and_perfect(space):
-    enc = small_batch(space, 1)[0]
-    n, v = len(enc.tokens), space.size
-    m = int(enc.loss_mask.sum())
-    uniform = np.full((n, v), 1.0 / v)
-    assert math.isclose(task_loss(uniform, enc), m * math.log(v), abs_tol=1e-9)
-    perfect = np.zeros((n, v))
-    targets = np.nonzero(enc.loss_mask)[0]
-    perfect[targets - 1, enc.tokens[targets]] = 1.0
-    assert task_loss(perfect, enc) == 0.0
-
-
-def test_task_loss_shape_errors(space):
-    enc = small_batch(space, 1)[0]
-    with pytest.raises(ShapeMismatch):
-        task_loss(np.full((len(enc.tokens) - 1, space.size), 0.5), enc)
-    bad = small_batch(space, 1)[0]
-    bad.loss_mask[0] = True
-    with pytest.raises(ShapeMismatch):
-        task_loss(np.full((len(bad.tokens), space.size), 0.5), bad)
-
-
-def test_combined_loss_examples():
-    assert combined_loss(2.0, 3.0, LossWeights(1.0, 0.5)) == 3.5
-    assert combined_loss(2.0, 3.0, LossWeights(1.0, 0.0)) == 2.0
-    assert combined_loss(1.5, 0.0, LossWeights(2.0, 1.0)) == 3.0
-
-
 def test_batch_objective_matches_single_instance_losses(tiny_params, space):
     batch = small_batch(space, 2)
     w = LossWeights(1.0, 0.5)
     singles = []
     for enc in batch:
-        dists = forward(tiny_params, enc.tokens)
-        singles.append(task_loss(dists, enc))
+        tokens, mask = enc.tokens[None, :], enc.loss_mask[None, :]
+        logits, _ = _forward_batch(tiny_params, tokens, keep_cache=False)
+        singles.append(ref_losses_from_logits(logits, tokens, mask, [enc], w).per_instance[0])
     expect = np.mean([w.for_direction(e.direction) * l for e, l in zip(batch, singles)])
     assert math.isclose(batch_objective(tiny_params, batch, w), expect, rel_tol=1e-10)
+
+
+def test_loss_mask_at_position_zero_is_rejected(tiny_params, space):
+    bad = small_batch(space, 1)[0]
+    bad.loss_mask[0] = True
+    with pytest.raises(ShapeMismatch, match="position 0"):
+        batch_objective(tiny_params, [bad], LossWeights())
 
 
 def test_batch_padding_does_not_change_losses(tiny_params, space):
