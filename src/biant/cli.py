@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,7 +55,6 @@ def _resolved(args) -> RunConfig:
         beta=getattr(args, "beta", None),
         n_obs_bwd=getattr(args, "n_obs_bwd", None),
         k=getattr(args, "k", None),
-        workers=getattr(args, "workers", None),
     )
 
 
@@ -141,9 +139,8 @@ def _cell(grid: str, value) -> tuple[str, dict]:
     raise ConfigError(f"unknown ablation grid: {grid!r}")
 
 
-def _run_cell(job) -> tuple[float, float, float]:
+def _run_cell(cfg: RunConfig, overrides: dict, seed: int) -> tuple[float, float, float]:
     """gen-data, train and eval at one master seed, in memory."""
-    cfg, overrides, seed = job
     cfg = apply_overrides(cfg, seed=seed, **overrides)
     vocab = resolve_vocab(cfg)
     space = TokenSpace(vocab)
@@ -154,7 +151,7 @@ def _run_cell(job) -> tuple[float, float, float]:
     return report.mean_verb, report.mean_noun, report.mean_action
 
 
-def run_ablation(grid: str, cfg: RunConfig, seeds, values=None, workers: int = 1) -> AblationTable:
+def run_ablation(grid: str, cfg: RunConfig, seeds, values=None) -> AblationTable:
     """One in-memory run per grid cell per master seed, aggregated into a table."""
     if grid not in ABLATION_GRIDS:
         raise ConfigError(f"unknown ablation grid: {grid!r} (one of {sorted(ABLATION_GRIDS)})")
@@ -163,15 +160,8 @@ def run_ablation(grid: str, cfg: RunConfig, seeds, values=None, workers: int = 1
     if not seeds or not values:
         raise ConfigError("need at least one seed and one grid cell")
     cells = [_cell(grid, value) for value in values]
-    jobs = [(cfg, overrides, seed) for _, overrides in cells for seed in seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, jobs))
-    else:
-        results = [_run_cell(job) for job in jobs]
-    n = len(seeds)
-    rows = [AblationRow(label, results[i * n : (i + 1) * n])
-            for i, (label, _) in enumerate(cells)]
+    rows = [AblationRow(label, [_run_cell(cfg, overrides, s) for s in seeds])
+            for label, overrides in cells]
     return AblationTable(grid=grid, seeds=seeds, rows=rows)
 
 
@@ -249,7 +239,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _resolved(args)
     out = _prepare_out(cfg, f"ablate_{args.grid}")
-    table = run_ablation(args.grid, cfg, cfg.ablate_seeds, workers=cfg.workers)
+    table = run_ablation(args.grid, cfg, cfg.ablate_seeds)
     table.to_csv(out / f"ablation_{args.grid}.csv")
     rendered = table.render()
     (out / f"ablation_{args.grid}.txt").write_text(rendered + "\n", encoding="utf-8")
@@ -350,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-obs-bwd", type=int, metavar="N")
     p.add_argument("--preamble", metavar="MODE")
     p.add_argument("--k", type=int, metavar="N")
-    p.add_argument("--workers", type=int, metavar="N",
-                   help="cells run in parallel processes")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the analytic gradient")

@@ -55,7 +55,6 @@ class RunConfig:
     k: int = 5
     temperature: float = 1.0
     ablate_seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if min([self.seed, *self.ablate_seeds]) < 0:
@@ -64,8 +63,6 @@ class RunConfig:
             raise ConfigError(f"unknown preamble mode: {self.preamble!r}")
         if self.eval_stride < 1:
             raise ConfigError("eval_stride must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if not self.ablate_seeds:
             raise ConfigError("ablate_seeds must be nonempty")
         if self.scenario.video_len < self.window.window_len:
@@ -96,7 +93,7 @@ _SECTION_FIELDS = {
     **{section: tuple(n for n in _names(RunConfig)
                       if n in _names(cls) and n not in _TOP_FIELDS and n not in _NESTED)
        for section, cls in _FLAT.items()},
-    "ablate": ("seeds", "workers"),
+    "ablate": ("seeds",),
 }
 
 

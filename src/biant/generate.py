@@ -34,8 +34,8 @@ class GenerationConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be > 0")
+        if not 0 < self.temperature < np.inf:
+            raise ConfigError("temperature must be > 0 and finite")
 
 
 @dataclass
@@ -82,14 +82,14 @@ def _decode_one(params: Parameters, space: TokenSpace, prompt: list[int], z: int
     sampled = [row for row, rng in enumerate(rngs) if rng is not None]
     draws = np.array([rngs[row].random(3 * z) for row in sampled])
     kv: list = []
-    logits, _ = _forward_batch(params, np.asarray([prompt], dtype=np.int64), False, kv=kv)
+    logits = _forward_batch(params, np.asarray([prompt], dtype=np.int64), kv=kv)
     n = len(rngs)
     kv = [(np.repeat(k, n, axis=0), np.repeat(v, n, axis=0)) for k, v in kv]
     logits = np.repeat(logits[:, -1], n, axis=0)
     emitted = np.zeros((n, 3 * z), dtype=np.int64)
     for step, mask in enumerate(schedule):
         if step:
-            logits = _forward_batch(params, emitted[:, step - 1 : step], False, kv=kv)[0][:, -1]
+            logits = _forward_batch(params, emitted[:, step - 1 : step], kv=kv)[:, -1]
         # Mask before the softmax: at tiny temperatures the full-vocab softmax
         # underflows to a one-hot that may lie outside the grammar.
         scores = np.where(mask, logits / temperature, -np.inf)

@@ -52,9 +52,14 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.vocab_size, self.context_len, self.embed_dim,
-               self.num_heads, self.num_layers, self.mlp_hidden) < 1:
+        dims = (self.vocab_size, self.context_len, self.embed_dim,
+                self.num_heads, self.num_layers, self.mlp_hidden)
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in (*dims, self.seed)):
+            raise ConfigError("model dimensions and seed must be integers")
+        if min(dims) < 1:
             raise ConfigError("all model dimensions must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("model seed must be >= 0")
         if self.embed_dim % self.num_heads != 0:
             raise ConfigError(
                 f"embed_dim={self.embed_dim} not divisible by num_heads={self.num_heads}"
@@ -69,8 +74,9 @@ class LossWeights:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta <= 0:
-            raise ConfigError("need alpha >= 0, beta >= 0, alpha + beta > 0")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf
+                and self.alpha + self.beta > 0):
+            raise ConfigError("need finite alpha >= 0, beta >= 0, alpha + beta > 0")
 
     def for_direction(self, direction: str) -> float:
         return self.alpha if direction == FORWARD else self.beta
@@ -94,35 +100,28 @@ class Parameters:
         return {k: np.zeros_like(v) for k, v in self.arrays.items()}
 
 
-def init_params(cfg: ModelConfig) -> Parameters:
-    """Deterministic init: weights ~ N(0, 0.02), biases zero."""
-    rng = np.random.default_rng(cfg.seed)
+def _param_shapes(cfg: ModelConfig):
+    """(name, shape) of every parameter, in init order; 2-D shapes are
+    weights, 1-D shapes biases."""
     d, m, v = cfg.embed_dim, cfg.mlp_hidden, cfg.vocab_size
-
-    def w(*shape: int) -> np.ndarray:
-        return rng.normal(0.0, INIT_STD, shape)
-
-    arrays: dict[str, np.ndarray] = {
-        "tok_emb": w(v, d),
-        "pos_emb": w(cfg.context_len, d),
-    }
+    yield "tok_emb", (v, d)
+    yield "pos_emb", (cfg.context_len, d)
     for i in range(cfg.num_layers):
         # No key bias: softmax scores are invariant to a constant shift per
         # query row, so a key bias would be an unidentifiable direction.
-        arrays[f"l{i}.wq"] = w(d, d)
-        arrays[f"l{i}.bq"] = np.zeros(d)
-        arrays[f"l{i}.wk"] = w(d, d)
-        arrays[f"l{i}.wv"] = w(d, d)
-        arrays[f"l{i}.bv"] = np.zeros(d)
-        arrays[f"l{i}.wo"] = w(d, d)
-        arrays[f"l{i}.bo"] = np.zeros(d)
-        arrays[f"l{i}.w1"] = w(d, m)
-        arrays[f"l{i}.b1"] = np.zeros(m)
-        arrays[f"l{i}.w2"] = w(m, d)
-        arrays[f"l{i}.b2"] = np.zeros(d)
-    arrays["w_out"] = w(d, v)
-    arrays["b_out"] = np.zeros(v)
-    return Parameters(cfg, arrays)
+        for name, shape in (("wq", (d, d)), ("bq", (d,)), ("wk", (d, d)), ("wv", (d, d)),
+                            ("bv", (d,)), ("wo", (d, d)), ("bo", (d,)), ("w1", (d, m)),
+                            ("b1", (m,)), ("w2", (m, d)), ("b2", (d,))):
+            yield f"l{i}.{name}", shape
+    yield "w_out", (d, v)
+    yield "b_out", (v,)
+
+
+def init_params(cfg: ModelConfig) -> Parameters:
+    """Deterministic init: weights ~ N(0, 0.02), biases zero."""
+    rng = np.random.default_rng(cfg.seed)
+    return Parameters(cfg, {name: rng.normal(0.0, INIT_STD, shape) if len(shape) == 2
+                            else np.zeros(shape) for name, shape in _param_shapes(cfg)})
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
@@ -195,11 +194,11 @@ def _trunk(params: Parameters, tokens: np.ndarray, keep_cache: bool, kv=None):
     return x, (layers if keep_cache else None)
 
 
-def _forward_batch(params: Parameters, tokens: np.ndarray, keep_cache: bool, kv=None):
+def _forward_batch(params: Parameters, tokens: np.ndarray, kv=None) -> np.ndarray:
     """Full-vocabulary logits at every position of an int (B, T) batch
     (after the ``kv`` cache's positions, if given; see ``_trunk``)."""
-    x, cache = _trunk(params, tokens, keep_cache, kv)
-    return x @ params.arrays["w_out"] + params.arrays["b_out"], cache
+    x, _ = _trunk(params, tokens, keep_cache=False, kv=kv)
+    return x @ params.arrays["w_out"] + params.arrays["b_out"]
 
 
 def forward(params: Parameters, tokens) -> np.ndarray:
@@ -207,8 +206,7 @@ def forward(params: Parameters, tokens) -> np.ndarray:
     arr = np.asarray(tokens, dtype=np.int64)
     if arr.ndim != 1:
         raise ShapeMismatch(f"expected a 1-D token sequence, got shape {arr.shape}")
-    logits, _ = _forward_batch(params, arr[None, :], keep_cache=False)
-    return _softmax(logits[0])
+    return _softmax(_forward_batch(params, arr[None, :])[0])
 
 
 def _stack_batch(batch: list[EncodedInstance]) -> tuple[np.ndarray, np.ndarray]:
@@ -385,7 +383,7 @@ def make_gradcheck_case(seed: int = 0) -> tuple[Parameters, list[EncodedInstance
         batch.append(EncodedInstance(
             tokens=tokens.astype(np.int64), loss_mask=mask,
             prompt_len=length // 2, direction=direction,
-            z=0, instance_id=f"gradcheck:{direction}"))
+            instance_id=f"gradcheck:{direction}"))
     return params, batch, LossWeights(1.0, 0.5)
 
 
@@ -456,18 +454,17 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, dict]:
         doc = load_json(path)
         if doc.get("version") != CHECKPOINT_VERSION:
             raise ParseError(f"unsupported checkpoint version: {doc.get('version')!r}")
-        reference = init_params(ModelConfig(**doc["model_config"]))
-        arrays = {name: np.asarray(doc["arrays"][name], dtype=np.float64)
-                  for name in reference.arrays}
-    except (ValueError, KeyError, TypeError, AttributeError) as err:
+        cfg = ModelConfig(**doc["model_config"])
+        arrays = {}
+        for name, shape in _param_shapes(cfg):
+            arr = arrays[name] = np.asarray(doc["arrays"][name], dtype=np.float64)
+            if arr.shape != shape:
+                raise ParseError(f"array {name!r} has shape {arr.shape}, expected {shape}")
+            if not np.isfinite(arr).all():
+                raise ParseError(f"array {name!r} has non-finite values")
+    except (ConfigError, ValueError, KeyError, TypeError, AttributeError) as err:
         raise ParseError(f"malformed checkpoint {path}: {type(err).__name__}: {err}") from err
-    for name, arr in arrays.items():
-        expected = reference.arrays[name].shape
-        if arr.shape != expected:
-            raise ParseError(f"array {name!r} has shape {arr.shape}, expected {expected}")
-        if not np.isfinite(arr).all():
-            raise ParseError(f"array {name!r} has non-finite values")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ParseError(f"checkpoint {path}: meta must be an object")
-    return Parameters(reference.config, arrays), meta
+    return Parameters(cfg, arrays), meta

@@ -118,7 +118,6 @@ class EncodedInstance:
     loss_mask: np.ndarray
     prompt_len: int
     direction: str
-    z: int
     instance_id: str = ""
 
 
@@ -162,7 +161,6 @@ def encode_instance(space: TokenSpace, inst: AnticipationInstance, mode: str) ->
         loss_mask=mask,
         prompt_len=prompt_len,
         direction=inst.direction,
-        z=len(inst.future),
         instance_id=inst.instance_id,
     )
 

@@ -53,8 +53,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("lr must be > 0")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError("lr must be > 0 and finite")
 
 
 @dataclass

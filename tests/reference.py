@@ -157,7 +157,7 @@ def _ref_decode_one(params, space, prompt, z, greedy, temperature, rng):
     actions = []
     state = "verb"
     while True:
-        logits, _ = _forward_batch(params, np.asarray([tokens], dtype=np.int64), False)
+        logits = _forward_batch(params, np.asarray([tokens], dtype=np.int64))
         mask = np.zeros(space.size, dtype=bool)
         if state == "verb":
             mask[space.verb_start : space.noun_start] = True

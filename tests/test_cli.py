@@ -110,9 +110,23 @@ def _meta_array(text):
     return json.dumps(doc)
 
 
+def _set_model_config(key, value):
+    def corrupt(text):
+        doc = json.loads(text)
+        doc["model_config"][key] = value
+        return json.dumps(doc)
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt", [_drop_model_config, lambda text: text[: len(text) // 2],
-                                     _nan_in_w_out, _meta_array],
-                         ids=["no_model_config", "truncated", "nan_w_out", "meta_array"])
+                                     _nan_in_w_out, _meta_array,
+                                     _set_model_config("embed_dim", 1000000),
+                                     _set_model_config("embed_dim", 8.0),
+                                     _set_model_config("seed", 1.5),
+                                     _set_model_config("seed", -1)],
+                         ids=["no_model_config", "truncated", "nan_w_out", "meta_array",
+                              "huge_embed_dim", "float_embed_dim", "float_seed",
+                              "negative_seed"])
 def test_eval_undecodable_checkpoint_exit_code(run_dir, tmp_path, capsys, corrupt):
     cfg_path, out = run_dir
     bad = tmp_path / "checkpoint.json"
@@ -199,14 +213,13 @@ def test_video_len_checked_against_configured_window(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc", [
     {"eval_stride": "13"},
-    {"ablate": {"workers": "2"}},
     {"ablate": {"seeds": [0, "1"]}},
     {"scenario": {"coupling": "0.8"}},
     {"scenario": {"motif_len_range": [1, 2, 3]}},
     {"seed": "1"},
     {"gen": {"k": 2.5}},
     {"gen": {"k": True}},
-], ids=["str_eval_stride", "str_workers", "str_in_seeds", "str_coupling",
+], ids=["str_eval_stride", "str_in_seeds", "str_coupling",
         "three_motif_lens", "str_seed", "float_k", "bool_as_int"])
 def test_config_value_of_wrong_type_exit_code(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
@@ -222,8 +235,9 @@ def test_config_value_of_wrong_type_exit_code(tmp_path, capsys, doc):
     {"train": {"loss_on_structure": True}},
     {"ed": {"allow_transpositions": True}},
     {"gen": {"strategy": "all_sampled"}},
+    {"ablate": {"workers": 2}},
 ], ids=["ed_normalizer", "train_label_noise", "train_loss_on_structure",
-        "ed_allow_transpositions", "gen_strategy"])
+        "ed_allow_transpositions", "gen_strategy", "ablate_workers"])
 def test_config_deleted_key_exit_code(tmp_path, capsys, doc):
     path = tmp_path / "old.json"
     path.write_text(json.dumps(doc))
@@ -239,8 +253,15 @@ def test_config_deleted_key_exit_code(tmp_path, capsys, doc):
     ({"train": {"epochs": 0}}, ["gen-data"], "epochs must be >= 1"),
     ({"model": {"num_heads": 3}}, ["gen-data"], "not divisible by num_heads=3"),
     ({"gen": {"temperature": 0}}, ["gen-data"], "temperature must be > 0"),
+    ({"gen": {"temperature": float("nan")}}, ["gen-data"], "temperature must be > 0 and finite"),
+    ({"train": {"lr": float("nan")}}, ["gen-data"], "lr must be > 0 and finite"),
+    ({"train": {"lr": float("inf")}}, ["gen-data"], "lr must be > 0 and finite"),
+    ({"weights": {"alpha": float("nan")}}, ["gen-data"], "need finite alpha"),
+    ({"weights": {"beta": float("inf")}}, ["gen-data"], "need finite alpha"),
+    ({}, ["train", "--alpha", "nan"], "need finite alpha"),
 ], ids=["seed_flag", "seed_key", "ablate_seed", "zero_epochs", "indivisible_heads",
-        "zero_temperature"])
+        "zero_temperature", "nan_temperature", "nan_lr", "inf_lr", "nan_alpha", "inf_beta",
+        "nan_alpha_flag"])
 def test_config_value_out_of_range_exit_code(tmp_path, capsys, doc, flags, needle):
     """Every section is checked when the config loads, before any work."""
     path = tmp_path / "bad.json"
@@ -293,6 +314,9 @@ def test_unknown_flag_and_bad_grid_exit_via_argparse(run_dir):
         main(["train", "--learning-rate", "0.1"])
     with pytest.raises(SystemExit):
         main(["ablate", "--grid", "optimizer", "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--grid", "token_type", "--workers", "2", "--out", str(out)])
+    assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main([])
 

@@ -39,8 +39,6 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(eval_stride=0)
     with pytest.raises(ConfigError):
-        RunConfig(workers=0)
-    with pytest.raises(ConfigError):
         RunConfig(ablate_seeds=[])
 
 
@@ -59,7 +57,7 @@ def test_video_len_checked_against_configured_window():
 
 def test_document_round_trip():
     cfg = RunConfig(seed=9, k=3, epochs=2, preamble=DETAILED_DESCRIPTION,
-                    eval_stride=5, ablate_seeds=[4, 5], workers=2)
+                    eval_stride=5, ablate_seeds=[4, 5])
     doc = run_config_to_document(cfg)
     again = run_config_from_document(doc)
     assert again == cfg

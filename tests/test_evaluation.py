@@ -293,11 +293,3 @@ def test_run_ablation_small_grid(tmp_path):
     text = table.render()
     assert "alpha=1 beta=0.5" in text
     assert "+-" in text
-
-
-def test_run_ablation_parallel_matches_serial():
-    cfg = run_config_from_document(SMALL_CONFIG)
-    serial = run_ablation(OBS_INTERVAL, cfg, seeds=[0], values=[4, 8], workers=1)
-    parallel = run_ablation(OBS_INTERVAL, cfg, seeds=[0], values=[4, 8], workers=2)
-    assert [r.label for r in serial.rows] == [r.label for r in parallel.rows] == ["4", "8"]
-    assert [r.per_seed for r in serial.rows] == [r.per_seed for r in parallel.rows]

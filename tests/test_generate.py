@@ -107,7 +107,7 @@ def test_vectorised_draw_matches_generator_choice(space, monkeypatch, temperatur
     logit_rng = np.random.default_rng(11)
     steps = itertools.count()
 
-    def fake_forward(params, tokens, keep_cache, kv=None):
+    def fake_forward(params, tokens, kv=None):
         step = next(steps)
         logits = logit_rng.normal(0.0, 2.0, (len(tokens), space.size))
         admitted = np.flatnonzero(schedule[step])
@@ -121,7 +121,7 @@ def test_vectorised_draw_matches_generator_choice(space, monkeypatch, temperatur
             elif kind == 3:  # a random subset of the admitted tokens
                 drop = admitted[logit_rng.random(admitted.size) < 0.5]
                 logits[row, drop[: admitted.size - 1]] = -np.inf
-        return logits[:, None, :], None
+        return logits[:, None, :]
 
     dists = []
 

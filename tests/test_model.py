@@ -104,7 +104,7 @@ def test_batch_objective_matches_single_instance_losses(tiny_params, space):
     singles = []
     for enc in batch:
         tokens, mask = enc.tokens[None, :], enc.loss_mask[None, :]
-        logits, _ = _forward_batch(tiny_params, tokens, keep_cache=False)
+        logits = _forward_batch(tiny_params, tokens)
         singles.append(ref_losses_from_logits(logits, tokens, mask, [enc], w).per_instance[0])
     expect = np.mean([w.for_direction(e.direction) * l for e, l in zip(batch, singles)])
     assert math.isclose(batch_objective(tiny_params, batch, w), expect, rel_tol=1e-10)
@@ -342,14 +342,14 @@ def test_kv_cache_steps_match_full_forward(space, vocab_name):
         params.arrays[name] = rng.normal(0.0, 0.4, arr.shape)
     tokens = rng.integers(0, space.size, (3, cfg.context_len))
     kv = []
-    logits, _ = _forward_batch(params, tokens[:, :5], False, kv=kv)
-    full, _ = _forward_batch(params, tokens[:, :5], False)
+    logits = _forward_batch(params, tokens[:, :5], kv=kv)
+    full = _forward_batch(params, tokens[:, :5])
     assert np.array_equal(logits, full)
     for t in range(5, cfg.context_len):
-        step, _ = _forward_batch(params, tokens[:, t : t + 1], False, kv=kv)
-        full, _ = _forward_batch(params, tokens[:, : t + 1], False)
+        step = _forward_batch(params, tokens[:, t : t + 1], kv=kv)
+        full = _forward_batch(params, tokens[:, : t + 1])
         assert step.shape == (3, 1, space.size)
         np.testing.assert_allclose(step[:, 0], full[:, -1], rtol=0, atol=1e-12)
     assert [k.shape for layer in kv for k in layer] == [(3, 2, cfg.context_len, 4)] * 4
     with pytest.raises(ContextOverflow):
-        _forward_batch(params, tokens[:, :1], False, kv=kv)
+        _forward_batch(params, tokens[:, :1], kv=kv)

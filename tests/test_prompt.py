@@ -82,7 +82,7 @@ def test_encode_smallest_instance(space):
     assert enc.tokens.tolist() == [BOS, CTRL_FWD, v, n, SEP, v2, n2, EOS]
     assert enc.loss_mask.tolist() == [False] * 5 + [True] * 3
     assert enc.prompt_len == 5
-    assert enc.z == 1
+    assert (len(enc.tokens) - enc.prompt_len) // 3 == 1
     prompt = encode_prompt(space, SPECIAL_TOKEN, FORWARD, smallest_instance().observed)
     assert prompt == enc.tokens[: enc.prompt_len].tolist()
 

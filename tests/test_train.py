@@ -35,8 +35,8 @@ def test_build_training_set_pairs_each_window(space):
     assert [e.direction for e in out] == [FORWARD, BACKWARD] * 10
     assert all(int(e.tokens[1]) == CTRL_FWD for e in out[0::2])
     assert all(int(e.tokens[1]) == CTRL_BWD for e in out[1::2])
-    assert [e.z for e in out[0::2]] == [20] * 10
-    assert [e.z for e in out[1::2]] == [12] * 10
+    assert [(len(e.tokens) - e.prompt_len) // 3 for e in out[0::2]] == [20] * 10
+    assert [(len(e.tokens) - e.prompt_len) // 3 for e in out[1::2]] == [12] * 10
 
 
 def test_build_training_set_forward_only_when_beta_zero(space):
