@@ -296,6 +296,13 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _non_negative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biant",
@@ -319,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-obs-bwd", type=int, metavar="N", help="backward observed length")
     p.add_argument("--preamble", metavar="MODE",
                    help="special | description (task preamble encoding)")
-    p.add_argument("--dump-encodings", type=int, default=0, metavar="N",
+    p.add_argument("--dump-encodings", type=_non_negative_int, default=0, metavar="N",
                    help="print the first N encoded training instances")
     p.set_defaults(fn=cmd_train)
 

@@ -17,6 +17,7 @@ positions. Each weight gradient is one 2-D matmul over the batch positions.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -37,6 +38,34 @@ from .sequence import BACKWARD, FORWARD
 
 INIT_STD = 0.02
 _GELU_C = math.sqrt(2.0 / math.pi)
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 * 2**20  # the largest value glibc's dynamic rule picks
+
+
+def _keep_freed_memory_in_heap() -> None:
+    """Let the next training step reuse the memory the last one freed.
+
+    A training step allocates tens of MB of numpy temporaries and frees them
+    at its end. glibc's default policy returns that memory to the kernel, so
+    the next step page-faults it all in again. Fixing the mmap threshold and
+    the trim threshold (twice it, the ratio glibc's dynamic rule keeps)
+    stops that; both must be set, because setting either one turns the
+    dynamic rule off for both. Process-wide; does nothing where the C
+    library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
+
+
+_keep_freed_memory_in_heap()
 
 
 @dataclass

@@ -317,6 +317,9 @@ def test_unknown_flag_and_bad_grid_exit_via_argparse(run_dir):
     with pytest.raises(SystemExit) as exc:
         main(["ablate", "--grid", "token_type", "--workers", "2", "--out", str(out)])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(cfg_path), "--out", str(out), "--dump-encodings", "-3"])
+    assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main([])
 

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import biant.model
 from biant.errors import ConfigError, ContextOverflow, NumericalDivergence, ParseError, ShapeMismatch
 from biant.model import (
     AdamState,
@@ -353,3 +359,42 @@ def test_kv_cache_steps_match_full_forward(space, vocab_name):
     assert [k.shape for layer in kv for k in layer] == [(3, 2, cfg.context_len, 4)] * 4
     with pytest.raises(ContextOverflow):
         _forward_batch(params, tokens[:, :1], kv=kv)
+
+
+_STEP_FAULTS = """
+import resource
+import numpy as np
+from biant.model import LossWeights, ModelConfig, gradient, init_adam, init_params, optimizer_step
+from biant.prompt import SPECIAL_TOKEN, TokenSpace, encode_instance
+from biant.sequence import AnnotatedVideo, WindowConfig, make_forward_instances
+from biant.vocab import ActionLabel, {vocab}
+
+space = TokenSpace({vocab}())
+rng = np.random.default_rng(0)
+video = AnnotatedVideo("v", tuple(
+    ActionLabel(int(rng.integers(space.num_verbs)), int(rng.integers(space.num_nouns)))
+    for _ in range(28)))
+batch = [encode_instance(space, make_forward_instances(video, WindowConfig())[0], SPECIAL_TOKEN)] * 32
+assert len(batch[0].tokens) == 86
+params = init_params(ModelConfig(vocab_size=space.size))
+adam = init_adam(params)
+for i in range(13):
+    if i == 3:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    grads, _ = gradient(params, batch, LossWeights(1.0, 0.5))
+    params, adam = optimizer_step(params, grads, adam, 1e-3)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds are set through glibc")
+@pytest.mark.parametrize("vocab", ["demo_vocabulary", "scaled_vocabulary"])
+def test_training_step_reuses_freed_memory(vocab):
+    """After warm-up, a (32, 86) gradient + Adam step takes its temporaries
+    from the heap, not from fresh pages (about 7,000 minor faults per step
+    at V = 42 and 4,100 at V = 660 under glibc's default policy)."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(biant.model.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _STEP_FAULTS.format(vocab=vocab)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert float(done.stdout) < 500
