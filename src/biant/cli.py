@@ -139,9 +139,8 @@ def _cell(grid: str, value) -> tuple[str, dict]:
     raise ConfigError(f"unknown ablation grid: {grid!r}")
 
 
-def _run_cell(cfg: RunConfig, overrides: dict, seed: int) -> tuple[float, float, float]:
-    """gen-data, train and eval at one master seed, in memory."""
-    cfg = apply_overrides(cfg, seed=seed, **overrides)
+def _run_cell(cfg: RunConfig) -> tuple[float, float, float]:
+    """gen-data, train and eval of one cell at one master seed, in memory."""
     vocab = resolve_vocab(cfg)
     space = TokenSpace(vocab)
     corpus = generate_corpus(vocab, scenario_config(cfg))
@@ -152,7 +151,8 @@ def _run_cell(cfg: RunConfig, overrides: dict, seed: int) -> tuple[float, float,
 
 
 def run_ablation(grid: str, cfg: RunConfig, seeds, values=None) -> AblationTable:
-    """One in-memory run per grid cell per master seed, aggregated into a table."""
+    """One in-memory run per grid cell per master seed, aggregated into a table.
+    Every cell's config is built and checked before the first run starts."""
     if grid not in ABLATION_GRIDS:
         raise ConfigError(f"unknown ablation grid: {grid!r} (one of {sorted(ABLATION_GRIDS)})")
     seeds = list(seeds)
@@ -160,8 +160,9 @@ def run_ablation(grid: str, cfg: RunConfig, seeds, values=None) -> AblationTable
     if not seeds or not values:
         raise ConfigError("need at least one seed and one grid cell")
     cells = [_cell(grid, value) for value in values]
-    rows = [AblationRow(label, [_run_cell(cfg, overrides, s) for s in seeds])
+    runs = [(label, [apply_overrides(cfg, seed=s, **overrides) for s in seeds])
             for label, overrides in cells]
+    rows = [AblationRow(label, [_run_cell(c) for c in configs]) for label, configs in runs]
     return AblationTable(grid=grid, seeds=seeds, rows=rows)
 
 

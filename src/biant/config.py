@@ -109,11 +109,10 @@ def _check_keys(section: str, given: dict, allowed: tuple) -> None:
 
 def _fits(value, default) -> bool:
     """Whether a document value has the JSON type of a field's default: bool
-    for bool, int (not bool) for int, int or float for float, str for str, a
-    list of ints for a list, and of the same length for a tuple."""
-    if isinstance(default, (list, tuple)):
-        return (isinstance(value, (list, tuple)) and all(_fits(v, 0) for v in value)
-                and (isinstance(default, list) or len(value) == len(default)))
+    for bool, int (not bool) for int, int or float for float, str for str, and
+    a list of ints for a list."""
+    if isinstance(default, list):
+        return isinstance(value, (list, tuple)) and all(_fits(v, 0) for v in value)
     if isinstance(value, bool) or isinstance(default, bool):
         return isinstance(value, bool) and isinstance(default, bool)
     return isinstance(value, (int, float) if isinstance(default, float) else type(default))

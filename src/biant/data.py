@@ -27,15 +27,17 @@ from .vocab import ActionLabel, Vocabulary
 
 TRAIN_FRACTION = 0.7
 VAL_FRACTION = 0.1
+# Motif layout: NUM_SCENE_TYPES scenes of MOTIFS_PER_SCENE motifs each, plus
+# one shared set of as many; motif lengths are drawn from MOTIF_LEN_RANGE.
+NUM_SCENE_TYPES = 4
+MOTIFS_PER_SCENE = 3
+MOTIF_LEN_RANGE = (2, 4)
 
 
 @dataclass
 class ScenarioConfig:
     """Knobs for the planted-structure generator."""
 
-    num_scene_types: int = 4
-    motifs_per_scene: int = 3
-    motif_len_range: tuple[int, int] = (2, 4)
     video_len: int = 40
     num_videos: int = 200
     coupling: float = 0.8
@@ -43,12 +45,8 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.motif_len_range = tuple(self.motif_len_range)
-        if min(self.num_scene_types, self.motifs_per_scene, self.num_videos, self.video_len) < 1:
+        if min(self.num_videos, self.video_len) < 1:
             raise ConfigError("counts must be >= 1")
-        lo, hi = self.motif_len_range
-        if not 1 <= lo <= hi:
-            raise ConfigError(f"bad motif_len_range: {self.motif_len_range}")
         if not (0.0 <= self.coupling <= 1.0 and 0.0 <= self.noise_rate <= 1.0):
             raise ConfigError("coupling and noise_rate must be in [0, 1]")
 
@@ -73,18 +71,14 @@ class SyntheticCorpus:
         return self._subset(self.train_ids)
 
     @property
-    def val(self) -> list[AnnotatedVideo]:
-        return self._subset(self.val_ids)
-
-    @property
     def test(self) -> list[AnnotatedVideo]:
         return self._subset(self.test_ids)
 
 
-def _draw_motifs(vocab: Vocabulary, cfg: ScenarioConfig, rng: np.random.Generator):
+def _draw_motifs(vocab: Vocabulary, rng: np.random.Generator):
     """Disjoint motifs: scene sets plus one shared set, from one shuffle."""
-    num_motifs = cfg.motifs_per_scene * (cfg.num_scene_types + 1)
-    lengths = rng.integers(cfg.motif_len_range[0], cfg.motif_len_range[1] + 1, num_motifs)
+    num_motifs = MOTIFS_PER_SCENE * (NUM_SCENE_TYPES + 1)
+    lengths = rng.integers(MOTIF_LEN_RANGE[0], MOTIF_LEN_RANGE[1] + 1, num_motifs)
     pool_size = vocab.num_verbs * vocab.num_nouns
     if int(lengths.sum()) > pool_size:
         raise InsufficientVocabulary(
@@ -99,9 +93,9 @@ def _draw_motifs(vocab: Vocabulary, cfg: ScenarioConfig, rng: np.random.Generato
         motifs.append(tuple(ActionLabel(int(i) // vocab.num_nouns, int(i) % vocab.num_nouns)
                             for i in ids))
         start += int(n)
-    scene_motifs = [motifs[s * cfg.motifs_per_scene : (s + 1) * cfg.motifs_per_scene]
-                    for s in range(cfg.num_scene_types)]
-    shared_motifs = motifs[cfg.num_scene_types * cfg.motifs_per_scene :]
+    scene_motifs = [motifs[s * MOTIFS_PER_SCENE : (s + 1) * MOTIFS_PER_SCENE]
+                    for s in range(NUM_SCENE_TYPES)]
+    shared_motifs = motifs[NUM_SCENE_TYPES * MOTIFS_PER_SCENE :]
     return scene_motifs, shared_motifs
 
 
@@ -121,46 +115,25 @@ def _build_video(index, scene, scene_motifs, shared_motifs, cfg, rng) -> Annotat
     return AnnotatedVideo(id=f"vid{index:04d}", segments=tuple(segments[: cfg.video_len]))
 
 
-def _early_late_agreement(videos, scene_motifs, video_len) -> float:
-    """Mean fraction of late-third actions drawn from the early-dominant scene."""
-    action_to_scene = {}
-    for s, motifs in enumerate(scene_motifs):
-        for motif in motifs:
-            for a in motif:
-                action_to_scene[a] = s
-    third = video_len // 3
-    agreements = []
-    for v in videos:
-        early = [action_to_scene.get(a) for a in v.segments[:third]]
-        counts = {}
-        for s in early:
-            if s is not None:
-                counts[s] = counts.get(s, 0) + 1
-        if not counts:
-            continue
-        dominant = max(counts, key=counts.get)
-        late = v.segments[2 * third :]
-        agreements.append(
-            sum(1 for a in late if action_to_scene.get(a) == dominant) / len(late)
-        )
-    return float(np.mean(agreements)) if agreements else 0.0
-
-
 def generate_corpus(vocab: Vocabulary, cfg: ScenarioConfig) -> SyntheticCorpus:
     """Deterministic corpus with per-video RNG streams and a 70/10/20 split."""
     motif_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-    scene_motifs, shared_motifs = _draw_motifs(vocab, cfg, motif_rng)
+    scene_motifs, shared_motifs = _draw_motifs(vocab, motif_rng)
+    scene_actions = [{a for motif in motifs for a in motif} for motifs in scene_motifs]
+    late_start = 2 * (cfg.video_len // 3)
     videos = []
+    agreements = []  # per video: share of late-third actions from its own scene
     for i in range(cfg.num_videos):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, i]))
-        scene = int(rng.integers(cfg.num_scene_types))
-        videos.append(_build_video(i, scene, scene_motifs, shared_motifs, cfg, rng))
+        scene = int(rng.integers(NUM_SCENE_TYPES))
+        video = _build_video(i, scene, scene_motifs, shared_motifs, cfg, rng)
+        late = video.segments[late_start:]
+        agreements.append(sum(a in scene_actions[scene] for a in late) / len(late))
+        videos.append(video)
     n_train = int(TRAIN_FRACTION * cfg.num_videos)
     n_val = int(VAL_FRACTION * cfg.num_videos)
     ids = [v.id for v in videos]
-    sanity = {
-        "early_late_agreement": _early_late_agreement(videos, scene_motifs, cfg.video_len),
-    }
+    sanity = {"early_late_agreement": float(np.mean(agreements))}
     return SyntheticCorpus(
         videos=videos,
         train_ids=ids[:n_train],

@@ -53,13 +53,6 @@ def _edit_distances(eq: np.ndarray) -> np.ndarray:
     return prev[:, n]
 
 
-def edit_distance(a, b) -> int:
-    """Minimum insert/delete/substitute count turning a into b."""
-    a, b = list(a), list(b)
-    eq = np.array([[x == y for y in b] for x in a], dtype=bool).reshape(1, len(a), len(b))
-    return int(_edit_distances(eq)[0])
-
-
 def _normalized_eds(cands: list, gt) -> np.ndarray:
     """(3, K) edit distances divided by |gt| of K equal-length candidates,
     on the verb, noun and action axes (the rows of AXES)."""

@@ -10,9 +10,7 @@ candidate parses into exactly z (verb, noun) actions.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -116,14 +114,3 @@ def generate_candidates(
     emitted = _decode_one(params, space, prompt, z, cfg.temperature, rngs)
     return CandidateSet(instance_id, [tuple(decode_actions(space, row)) for row in emitted])
 
-
-def dump_candidates(path: str | Path, sets: list[CandidateSet]) -> None:
-    """Append-style JSONL dump: one line per (instance, candidate)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for cs in sets:
-            for index, cand in enumerate(cs.candidates):
-                fh.write(json.dumps({
-                    "instance_id": cs.instance_id,
-                    "candidate_index": index,
-                    "actions": [{"verb": a.verb, "noun": a.noun} for a in cand],
-                }) + "\n")

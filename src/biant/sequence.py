@@ -60,9 +60,6 @@ class AnnotatedVideo:
     id: str
     segments: list[ActionLabel]
 
-    def __len__(self) -> int:
-        return len(self.segments)
-
 
 @dataclass
 class AnticipationInstance:

@@ -2,7 +2,12 @@
 
 Edit distance: a full-matrix dynamic program and, for tiny inputs,
 breadth-first search over single-edit scripts. Neither shares code with the
-package.
+package; ``edit_distance`` is the one-pair adapter over the package's
+batched recurrence that they are compared against.
+
+Corpus statistic: ``ref_early_late_agreement`` guesses each video's scene
+from the actions of its early third instead of reading the scene the
+generator drew.
 
 Gradient: the model's original training step, which applies the output head
 at every position to dense (B, T, V) logits and sums weight gradients with
@@ -22,9 +27,17 @@ from collections import deque
 
 import numpy as np
 
+from biant.evaluation import _edit_distances
 from biant.model import BatchLosses, _forward_batch, _merge_heads, _split_heads, _stack_batch, _trunk
 from biant.prompt import BOS, CTRL_FWD, DESC_LEN, EOS, SEP, SPECIAL_TOKEN
 from biant.vocab import ActionLabel
+
+
+def edit_distance(a, b) -> int:
+    """The package's edit distance of one pair: insert/delete/substitute count."""
+    a, b = list(a), list(b)
+    eq = np.array([[x == y for y in b] for x in a], dtype=bool).reshape(1, len(a), len(b))
+    return int(_edit_distances(eq)[0])
 
 
 def ref_edit_distance(a, b):
@@ -73,6 +86,31 @@ def bfs_edit_distance(a, b, max_len=None):
                 seen.add(nxt)
                 queue.append((nxt, dist + 1))
     raise AssertionError("target unreachable; max_len cap too small")
+
+
+def ref_early_late_agreement(videos, scene_motifs, video_len) -> float:
+    """Mean fraction of late-third actions drawn from the early-dominant scene."""
+    action_to_scene = {}
+    for s, motifs in enumerate(scene_motifs):
+        for motif in motifs:
+            for a in motif:
+                action_to_scene[a] = s
+    third = video_len // 3
+    agreements = []
+    for v in videos:
+        early = [action_to_scene.get(a) for a in v.segments[:third]]
+        counts = {}
+        for s in early:
+            if s is not None:
+                counts[s] = counts.get(s, 0) + 1
+        if not counts:
+            continue
+        dominant = max(counts, key=counts.get)
+        late = v.segments[2 * third :]
+        agreements.append(
+            sum(1 for a in late if action_to_scene.get(a) == dominant) / len(late)
+        )
+    return float(np.mean(agreements)) if agreements else 0.0
 
 
 def _ref_gelu_grad(x):

@@ -17,7 +17,7 @@ import pytest
 from biant.cli import LOSS_WEIGHTS, OBS_INTERVAL, TOKEN_TYPE, run_ablation
 from biant.cli import main as cli_main
 from biant.config import RunConfig, run_config_from_document
-from biant.evaluation import AXES, edit_distance
+from biant.evaluation import AXES
 from biant.generate import GenerationConfig, generate_candidates
 from biant.model import (
     LossWeights,
@@ -43,7 +43,7 @@ from biant.train import TrainConfig, train
 from biant.vocab import scaled_vocabulary
 
 from conftest import SMALL_CONFIG, make_video
-from reference import ref_edit_distance
+from reference import edit_distance, ref_edit_distance
 
 
 @pytest.fixture

@@ -215,12 +215,11 @@ def test_video_len_checked_against_configured_window(tmp_path, capsys):
     {"eval_stride": "13"},
     {"ablate": {"seeds": [0, "1"]}},
     {"scenario": {"coupling": "0.8"}},
-    {"scenario": {"motif_len_range": [1, 2, 3]}},
     {"seed": "1"},
     {"gen": {"k": 2.5}},
     {"gen": {"k": True}},
 ], ids=["str_eval_stride", "str_in_seeds", "str_coupling",
-        "three_motif_lens", "str_seed", "float_k", "bool_as_int"])
+        "str_seed", "float_k", "bool_as_int"])
 def test_config_value_of_wrong_type_exit_code(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -236,8 +235,12 @@ def test_config_value_of_wrong_type_exit_code(tmp_path, capsys, doc):
     {"ed": {"allow_transpositions": True}},
     {"gen": {"strategy": "all_sampled"}},
     {"ablate": {"workers": 2}},
+    {"scenario": {"num_scene_types": 1000000000000}},
+    {"scenario": {"motifs_per_scene": 3}},
+    {"scenario": {"motif_len_range": [1, 9223372036854775806]}},
 ], ids=["ed_normalizer", "train_label_noise", "train_loss_on_structure",
-        "ed_allow_transpositions", "gen_strategy", "ablate_workers"])
+        "ed_allow_transpositions", "gen_strategy", "ablate_workers",
+        "scenario.num_scene_types", "scenario.motifs_per_scene", "scenario.motif_len_range"])
 def test_config_deleted_key_exit_code(tmp_path, capsys, doc):
     path = tmp_path / "old.json"
     path.write_text(json.dumps(doc))
@@ -277,6 +280,21 @@ def test_ablate_bad_flag_fails_before_training(run_dir, tmp_path, capsys, monkey
     code = main(["ablate", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
                  "--grid", "token_type", "--k", "0"])
     _assert_invalid_data(code, capsys, "ConfigError", "k must be >= 1")
+
+
+def test_ablate_bad_cell_fails_before_training(tmp_path, capsys, monkeypatch):
+    """n_obs_bwd=16 leaves no backward future in a 14-segment window, and the
+    grid's earlier cells 4 and 8 are valid: no cell may train before the
+    last one is checked."""
+    doc = {**SMALL_CONFIG, "window": {"n_obs_fwd": 4, "z_fwd": 10, "n_obs_bwd": 8, "stride": 6},
+           "ablate": {"seeds": [0, 1]}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("an ablation cell trained"))
+    code = main(["ablate", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--grid", "obs_interval"])
+    _assert_invalid_data(code, capsys, "ConfigError", "n_obs_bwd=16")
+    assert not (tmp_path / "o" / "ablation_obs_interval.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

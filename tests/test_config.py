@@ -64,18 +64,35 @@ def test_document_round_trip():
     assert json.dumps(doc)  # JSON-serializable as-is
 
 
+def test_document_leaf_keys():
+    """Every setting a config document can hold; adding or removing one
+    changes this list."""
+    doc = run_config_to_document(RunConfig())
+    leaves = sorted(f"{key}.{sub}" if isinstance(value, dict) else key
+                    for key, value in doc.items()
+                    for sub in (value if isinstance(value, dict) else [None]))
+    assert leaves == [
+        "ablate.seeds", "eval_stride", "gen.k", "gen.temperature",
+        "model.context_len", "model.embed_dim", "model.mlp_hidden", "model.num_heads",
+        "model.num_layers", "out", "preamble", "scenario.coupling", "scenario.noise_rate",
+        "scenario.num_videos", "scenario.video_len", "seed", "train.batch_size",
+        "train.epochs", "train.lr", "vocab", "weights.alpha", "weights.beta",
+        "window.n_obs_bwd", "window.n_obs_fwd", "window.stride", "window.z_fwd",
+    ]
+
+
 def test_document_partial_sections():
     cfg = run_config_from_document({
         "seed": 3,
         "weights": {"beta": 0.5},
         "train": {"epochs": 2},
-        "scenario": {"num_videos": 12, "motif_len_range": [2, 3]},
+        "scenario": {"num_videos": 12, "coupling": 0.5},
     })
     assert cfg.seed == 3
     assert cfg.weights == LossWeights(1.0, 0.5)
     assert cfg.epochs == 2
     assert cfg.scenario.num_videos == 12
-    assert cfg.scenario.motif_len_range == (2, 3)
+    assert cfg.scenario.coupling == 0.5
     assert cfg.batch_size == 32
 
 

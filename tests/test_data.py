@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -11,23 +12,20 @@ from biant.data import (
     save_corpus_meta,
 )
 from biant.errors import ConfigError, InsufficientVocabulary, ParseError, UnknownLabel
-from biant.vocab import Vocabulary, demo_vocabulary
+from biant.vocab import Vocabulary, demo_vocabulary, scaled_vocabulary
+
+from reference import ref_early_late_agreement
 
 
 def test_scenario_config_validation():
     with pytest.raises(ConfigError):
         ScenarioConfig(num_videos=0)
     with pytest.raises(ConfigError):
-        ScenarioConfig(motif_len_range=(3, 2))
-    with pytest.raises(ConfigError):
-        ScenarioConfig(motif_len_range=(0, 2))
-    with pytest.raises(ConfigError):
         ScenarioConfig(coupling=1.5)
     with pytest.raises(ConfigError):
         ScenarioConfig(noise_rate=-0.1)
     with pytest.raises(ConfigError):
         ScenarioConfig(video_len=0)
-    assert ScenarioConfig(motif_len_range=[2, 3]).motif_len_range == (2, 3)
 
 
 def test_corpus_shape_and_split(vocab):
@@ -41,7 +39,6 @@ def test_corpus_shape_and_split(vocab):
     assert all(len(v.segments) == 40 for v in corpus.videos)
     assert corpus.videos[0].id == "vid0000"
     assert len(corpus.train) == 140 and len(corpus.test) == 40
-    assert {v.id for v in corpus.val} == set(corpus.val_ids)
 
 
 def test_corpus_is_deterministic(vocab):
@@ -71,6 +68,18 @@ def test_coupling_creates_early_late_agreement(vocab):
     assert strong - weak > 0.3
 
 
+def test_early_late_agreement_matches_early_third_guess():
+    """The statistic reads each video's drawn scene; guessing that scene from
+    the early third gives the same floats because every early third is drawn
+    from its own scene only."""
+    for vocab, seed, coupling, video_len in itertools.product(
+            (demo_vocabulary(), scaled_vocabulary()), range(3), (0.0, 0.8, 1.0), (3, 28, 40, 41)):
+        corpus = generate_corpus(vocab, ScenarioConfig(seed=seed, coupling=coupling,
+                                                       video_len=video_len))
+        expected = ref_early_late_agreement(corpus.videos, corpus.motifs["scene"], video_len)
+        assert corpus.sanity["early_late_agreement"] == expected, (seed, coupling, video_len)
+
+
 def test_pure_scene_videos_at_full_coupling(vocab):
     cfg = ScenarioConfig(seed=1, num_videos=20, coupling=1.0, noise_rate=0.0)
     corpus = generate_corpus(vocab, cfg)
@@ -83,7 +92,7 @@ def test_pure_scene_videos_at_full_coupling(vocab):
 def test_insufficient_vocabulary():
     tiny = Vocabulary(verbs=("go", "stop"), nouns=("door", "light"))
     with pytest.raises(InsufficientVocabulary):
-        generate_corpus(tiny, ScenarioConfig(seed=0, motif_len_range=(2, 4)))
+        generate_corpus(tiny, ScenarioConfig(seed=0))
 
 
 def test_annotations_round_trip(tmp_path, vocab):

@@ -16,7 +16,6 @@ from biant.errors import ConfigError, EmptyReference, EmptyTestSet
 from biant.evaluation import (
     AXES,
     EvalReport,
-    edit_distance,
     evaluate,
     score_instance,
 )
@@ -27,7 +26,7 @@ from biant.sequence import WindowConfig
 from biant.vocab import ActionLabel
 
 from conftest import SMALL_CONFIG, make_video
-from reference import bfs_edit_distance, ref_edit_distance
+from reference import bfs_edit_distance, edit_distance, ref_edit_distance
 
 
 def labels(pairs):

@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from biant.generate import (
     GenerationConfig,
     _candidate_rng,
     _decode_one,
-    dump_candidates,
     generate_candidates,
     renormalize_masked,
 )
@@ -236,16 +234,3 @@ def test_random_models_always_emit_grammar_complete_candidates(space):
             count += sum(len(c) == z for c in cs.candidates)
     assert count == 6 * 3 * 3
 
-
-def test_dump_candidates_jsonl(tmp_path, tiny_params, space):
-    cs = generate_candidates(tiny_params, space, observed_prefix(), 2,
-                             GenerationConfig(k=2, seed=1), SPECIAL_TOKEN, "vid:t0007")
-    path = tmp_path / "cands.jsonl"
-    dump_candidates(path, [cs])
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 2
-    rec = json.loads(lines[0])
-    assert rec["instance_id"] == "vid:t0007"
-    assert rec["candidate_index"] == 0
-    assert len(rec["actions"]) == 2
-    assert set(rec["actions"][0]) == {"verb", "noun"}
