@@ -16,8 +16,7 @@ import pytest
 
 from biant.cli import LOSS_WEIGHTS, OBS_INTERVAL, TOKEN_TYPE, run_ablation
 from biant.cli import main as cli_main
-from biant.config import RunConfig, run_config_from_document
-from biant.evaluation import AXES
+from biant.config import run_config_from_document
 from biant.generate import GenerationConfig, generate_candidates
 from biant.model import (
     LossWeights,
@@ -34,7 +33,6 @@ from biant.model import (
 from biant.model import _gradient_detailed, _target_losses
 from biant.prompt import DETAILED_DESCRIPTION, SPECIAL_TOKEN, TokenSpace, encode_instance
 from biant.sequence import (
-    ACTION_AXIS,
     WindowConfig,
     make_backward_instance,
     make_forward_instances,
@@ -42,6 +40,7 @@ from biant.sequence import (
 from biant.train import TrainConfig, train
 from biant.vocab import scaled_vocabulary
 
+import golden
 from conftest import SMALL_CONFIG, make_video
 from reference import edit_distance, ref_edit_distance
 
@@ -230,20 +229,19 @@ def test_05_constrained_decoding_is_grammar_complete(announce, space):
 
 def test_06_bidirectional_training_beats_or_ties_forward_only(announce):
     t0 = time.monotonic()
-    seeds = range(5)
-    cfg = RunConfig(eval_stride=13, epochs=8, window=WindowConfig(stride=6))
-    fwd, bidir = run_ablation(LOSS_WEIGHTS, cfg, seeds=seeds,
-                              values=[(1.0, 0.0), (1.0, 1.0)]).rows
-    action = AXES.index(ACTION_AXIS)
-    deltas = [b[action] - f[action] for f, b in zip(fwd.per_seed, bidir.per_seed)]
-    per_seed = [f"seed{seed}:{delta:+.4f}" for seed, delta in zip(seeds, deltas)]
+    eds = golden.direction_eds()
+    deltas = [b - f for f, b in zip(eds["forward_only"], eds["bidirectional"])]
+    per_seed = [f"seed{seed}:{delta:+.4f}" for seed, delta in enumerate(deltas)]
     elapsed = time.monotonic() - t0
     mean_delta = float(np.mean(deltas))
+    expected = golden.load()["direction_eds"]
     announce(
         "bidirectional training matches or beats forward-only on action ED",
-        mean_delta <= 0.01 and elapsed < 900.0,
+        mean_delta <= 0.01 and elapsed < 900.0 and eds == expected,
         f"mean action-ED delta {mean_delta:+.4f} (criterion <= +0.01) over 5 seeds "
-        f"[{', '.join(per_seed)}], {elapsed:.0f}s (budget 900s)",
+        f"[{', '.join(per_seed)}], {elapsed:.0f}s (budget 900s); per-seed EDs "
+        + ("equal golden.json" if eds == expected else
+           golden.mismatch("differ from golden.json", eds, expected)),
     )
 
 
@@ -279,16 +277,8 @@ def test_07_ablation_tables_have_the_study_layouts(announce, tmp_path):
 
 
 def test_08_pipeline_is_byte_deterministic(announce, tmp_path):
-    config = {
-        "eval_stride": 13,
-        "scenario": {"num_videos": 12, "video_len": 30},
-        "window": {"stride": 6},
-        "train": {"epochs": 1, "batch_size": 16},
-        "model": {"embed_dim": 8, "mlp_hidden": 12},
-        "gen": {"k": 2},
-    }
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(config))
+    cfg_path.write_text(json.dumps(golden.PIPELINE_CONFIG))
     compared = ["vocab.json", "corpus.json", "corpus_meta.json", "checkpoint.json",
                 "eval_report.json", "eval_summary.csv"]
     outs = []
