@@ -12,7 +12,12 @@ loss, weighted alpha and beta respectively in the joint objective.
 Training and decoding share one trunk (embeddings plus blocks; decoding
 steps it against a key/value cache). Decoding applies the output head at
 every position; the loss and its gradient apply it only at the target
-positions. Each weight gradient is one 2-D matmul over the batch positions.
+positions. Training also runs the last block only where it can reach a
+target: a batch is split into groups of instances whose first target is
+predicted at the same row, and each group's last block computes queries,
+attention rows, output projection and MLP from that row on (its keys and
+values, and every lower block, still cover all positions). Each group's
+weight gradients are 2-D matmuls over its positions, added in row order.
 """
 
 from __future__ import annotations
@@ -184,11 +189,14 @@ def _wgrad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
-def _trunk(params: Parameters, tokens: np.ndarray, keep_cache: bool, kv=None):
+def _trunk(params: Parameters, tokens: np.ndarray, keep_cache: bool, kv=None, first: int = 0):
     """Embeddings plus blocks on an int (B, T) batch: the final hidden states,
-    and each layer's activations for the backward pass if keep_cache. With
-    ``kv``, a list of per-layer (keys, values) (empty to start one), the batch
-    continues the cached positions and appends its keys and values."""
+    and each layer's activations for the backward pass if keep_cache. The
+    last block computes only rows ``first`` on, so the hidden states are
+    (B, T - first, d); its keys and values, and every lower block, cover all
+    positions. With ``kv``, a list of per-layer (keys, values) (empty to
+    start one), the batch continues the cached positions and appends its
+    keys and values."""
     cfg = params.config
     p = params.arrays
     b, t = tokens.shape
@@ -201,8 +209,10 @@ def _trunk(params: Parameters, tokens: np.ndarray, keep_cache: bool, kv=None):
     x = p["tok_emb"][tokens] + p["pos_emb"][past : past + t]
     layers = []
     for i in range(cfg.num_layers):
+        f = first if i == cfg.num_layers - 1 else 0
         x_in = x
-        q = x_in @ p[f"l{i}.wq"] + p[f"l{i}.bq"]
+        x_rows = x_in[:, f:]
+        q = x_rows @ p[f"l{i}.wq"] + p[f"l{i}.bq"]
         k = x_in @ p[f"l{i}.wk"]
         v = x_in @ p[f"l{i}.wv"] + p[f"l{i}.bv"]
         qh = _split_heads(q, cfg.num_heads)
@@ -212,9 +222,9 @@ def _trunk(params: Parameters, tokens: np.ndarray, keep_cache: bool, kv=None):
             if past:
                 kh, vh = np.concatenate((kv[i][0], kh), 2), np.concatenate((kv[i][1], vh), 2)
             kv[i : i + 1] = [(kh, vh)]
-        attn = _softmax(qh @ kh.transpose(0, 1, 3, 2) * scale + causal_bias)
+        attn = _softmax(qh @ kh.transpose(0, 1, 3, 2) * scale + causal_bias[f:])
         ctx = _merge_heads(attn @ vh)
-        x_mid = x_in + ctx @ p[f"l{i}.wo"] + p[f"l{i}.bo"]
+        x_mid = x_rows + ctx @ p[f"l{i}.wo"] + p[f"l{i}.bo"]
         h_pre = x_mid @ p[f"l{i}.w1"] + p[f"l{i}.b1"]
         h = _gelu(h_pre)
         x = x_mid + h @ p[f"l{i}.w2"] + p[f"l{i}.b2"]
@@ -265,11 +275,7 @@ class BatchLosses:
 
 def batch_objective(params: Parameters, batch: list[EncodedInstance], w: LossWeights) -> float:
     """Mean over the batch of the direction-weighted per-instance losses."""
-    tokens, mask = _stack_batch(batch)
-    x, _ = _trunk(params, tokens, keep_cache=False)
-    rows, cols = np.nonzero(mask)
-    losses, _ = _target_losses(params, x[rows, cols - 1], rows, tokens[rows, cols], batch, w)
-    return losses.objective
+    return _batch_losses(params, batch, w).objective
 
 
 def _target_losses(params, hidden, rows, targets, batch, w) -> tuple[BatchLosses, np.ndarray]:
@@ -278,14 +284,57 @@ def _target_losses(params, hidden, rows, targets, batch, w) -> tuple[BatchLosses
     Returns the losses and the head's softmax (N, V)."""
     shifted = hidden @ params.arrays["w_out"] + params.arrays["b_out"]
     shifted -= shifted.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
+    target_logits = shifted[np.arange(len(rows)), targets]
+    probs = np.exp(shifted, out=shifted)
     total = probs.sum(axis=1)
     probs /= total[:, None]
-    nll = np.log(total) - shifted[np.arange(len(rows)), targets]
+    nll = np.log(total) - target_logits
     per_instance = np.bincount(rows, weights=nll, minlength=len(batch))
     weights = np.array([w.for_direction(e.direction) for e in batch])
     objective = float((weights * per_instance).mean())
     return BatchLosses(objective, per_instance, weights, [e.direction for e in batch]), probs
+
+
+def _first_target_groups(mask: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(row, instance indices) per group of instances whose first target is
+    predicted at hidden row ``row``, in row order. An instance without a
+    target is in no group."""
+    first = mask.argmax(1) - 1
+    return [(int(row), np.flatnonzero(first == row)) for row in np.unique(first[first >= 0])]
+
+
+def _batch_losses(params, batch, w, grads=None) -> BatchLosses:
+    """The batch's losses, computed one first-target group at a time (each
+    group's last block starts at its row; see ``_trunk``). With ``grads``,
+    adds each group's gradient of the batch objective into it as well."""
+    tokens, mask = _stack_batch(batch)
+    b = len(batch)
+    per_instance = np.zeros(b)
+    for first, idx in _first_target_groups(mask):
+        group_tokens = tokens[idx]
+        x, layers = _trunk(params, group_tokens, keep_cache=grads is not None, first=first)
+        rows, cols = np.nonzero(mask[idx])
+        hidden, targets = x[rows, cols - 1 - first], group_tokens[rows, cols]
+        losses, dlog = _target_losses(params, hidden, rows, targets, [batch[i] for i in idx], w)
+        per_instance[idx] = losses.per_instance
+        if grads is None:
+            continue
+        if not np.isfinite(losses.objective):
+            raise NumericalDivergence(f"non-finite loss ({losses.objective})")
+        # d objective / d logits at the target positions: softmax minus
+        # one-hot, scaled in place so no second (N, V) array is allocated.
+        coeff = losses.weights[rows] / b
+        dlog *= coeff[:, None]
+        dlog[np.arange(len(rows)), targets] -= coeff
+        grads["w_out"] += hidden.T @ dlog
+        grads["b_out"] += dlog.sum(0)
+        dx = np.zeros_like(x)
+        dx[rows, cols - 1 - first] = dlog @ params.arrays["w_out"].T
+        del dlog  # freed before the backward pass allocates its own
+        _trunk_backward(params, layers, dx, group_tokens, first, grads)
+    weights = np.array([w.for_direction(e.direction) for e in batch])
+    objective = float((weights * per_instance).mean())
+    return BatchLosses(objective, per_instance, weights, [e.direction for e in batch])
 
 
 def gradient(
@@ -297,40 +346,30 @@ def gradient(
 
 
 def _gradient_detailed(params, batch, w) -> tuple[dict[str, np.ndarray], BatchLosses]:
+    grads = params.zeros_like()
+    return grads, _batch_losses(params, batch, w, grads)
+
+
+def _trunk_backward(params, layers, dx, tokens, first, grads) -> None:
+    """Adds to ``grads`` the gradients of every block and both embeddings,
+    given ``dx``, the gradient at the (B, T - first, d) hidden states that
+    ``_trunk`` returned for ``tokens`` with ``first`` and its cache ``layers``."""
     cfg = params.config
     p = params.arrays
-    tokens, mask = _stack_batch(batch)
-    b, t = tokens.shape
-    x_final, layers = _trunk(params, tokens, keep_cache=True)
-    rows, cols = np.nonzero(mask)
-    hidden, targets = x_final[rows, cols - 1], tokens[rows, cols]
-    losses, probs = _target_losses(params, hidden, rows, targets, batch, w)
-    if not np.isfinite(losses.objective):
-        raise NumericalDivergence(f"non-finite loss ({losses.objective})")
-
-    # d objective / d logits at the target positions: softmax minus one-hot.
-    coeff = losses.weights[rows] / b
-    dlog = probs * coeff[:, None]
-    dlog[np.arange(len(rows)), targets] -= coeff
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
-    grads["w_out"] = hidden.T @ dlog
-    grads["b_out"] = dlog.sum(0)
-    dx = np.zeros_like(x_final)
-    dx[rows, cols - 1] = dlog @ p["w_out"].T
     scale = 1.0 / math.sqrt(cfg.embed_dim // cfg.num_heads)
-
     for i in reversed(range(cfg.num_layers)):
+        f = first if i == cfg.num_layers - 1 else 0
         x_in, qh, kh, vh, attn, ctx, x_mid, h_pre, h = layers[i]
         # MLP branch: x = x_mid + gelu(x_mid @ w1 + b1) @ w2 + b2
-        grads[f"l{i}.w2"] = _wgrad(h, dx)
-        grads[f"l{i}.b2"] = dx.sum((0, 1))
+        grads[f"l{i}.w2"] += _wgrad(h, dx)
+        grads[f"l{i}.b2"] += dx.sum((0, 1))
         dh_pre = (dx @ p[f"l{i}.w2"].T) * _gelu_grad(h_pre)
-        grads[f"l{i}.w1"] = _wgrad(x_mid, dh_pre)
-        grads[f"l{i}.b1"] = dh_pre.sum((0, 1))
+        grads[f"l{i}.w1"] += _wgrad(x_mid, dh_pre)
+        grads[f"l{i}.b1"] += dh_pre.sum((0, 1))
         dx_mid = dx + dh_pre @ p[f"l{i}.w1"].T
-        # Attention branch: x_mid = x_in + (attn @ v) @ wo + bo
-        grads[f"l{i}.wo"] = _wgrad(ctx, dx_mid)
-        grads[f"l{i}.bo"] = dx_mid.sum((0, 1))
+        # Attention branch: x_mid = x_in[:, f:] + (attn @ v) @ wo + bo
+        grads[f"l{i}.wo"] += _wgrad(ctx, dx_mid)
+        grads[f"l{i}.bo"] += dx_mid.sum((0, 1))
         dctx = _split_heads(dx_mid @ p[f"l{i}.wo"].T, cfg.num_heads)
         dattn = dctx @ vh.transpose(0, 1, 3, 2)
         dvh = attn.transpose(0, 1, 3, 2) @ dctx
@@ -338,16 +377,18 @@ def _gradient_detailed(params, batch, w) -> tuple[dict[str, np.ndarray], BatchLo
         dq = _merge_heads(dscores @ kh * scale)
         dk = _merge_heads(dscores.transpose(0, 1, 3, 2) @ qh * scale)
         dv = _merge_heads(dvh)
-        grads[f"l{i}.wq"] = _wgrad(x_in, dq)
-        grads[f"l{i}.bq"] = dq.sum((0, 1))
-        grads[f"l{i}.wk"] = _wgrad(x_in, dk)
-        grads[f"l{i}.wv"] = _wgrad(x_in, dv)
-        grads[f"l{i}.bv"] = dv.sum((0, 1))
-        dx = dx_mid + dq @ p[f"l{i}.wq"].T + dk @ p[f"l{i}.wk"].T + dv @ p[f"l{i}.wv"].T
-
-    grads["pos_emb"][:t] = dx.sum(0)
+        grads[f"l{i}.wq"] += _wgrad(x_in[:, f:], dq)
+        grads[f"l{i}.bq"] += dq.sum((0, 1))
+        grads[f"l{i}.wk"] += _wgrad(x_in, dk)
+        grads[f"l{i}.wv"] += _wgrad(x_in, dv)
+        grads[f"l{i}.bv"] += dv.sum((0, 1))
+        # Rows before f reach the block's output only through keys and values.
+        dx = np.zeros_like(x_in)
+        dx[:, f:] = dx_mid + dq @ p[f"l{i}.wq"].T
+        dx += dk @ p[f"l{i}.wk"].T
+        dx += dv @ p[f"l{i}.wv"].T
+    grads["pos_emb"][: tokens.shape[1]] += dx.sum(0)
     np.add.at(grads["tok_emb"], tokens.reshape(-1), dx.reshape(-1, cfg.embed_dim))
-    return grads, losses
 
 
 def finite_difference_gradient(

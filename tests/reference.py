@@ -9,10 +9,11 @@ Corpus statistic: ``ref_early_late_agreement`` guesses each video's scene
 from the actions of its early third instead of reading the scene the
 generator drew.
 
-Gradient: the model's original training step, which applies the output head
-at every position to dense (B, T, V) logits and sums weight gradients with
-einsum. It shares only the forward trunk (embeddings plus blocks) with the
-package; the head, the loss and the whole backward pass are its own.
+Gradient: the model's original training step, which runs every block and
+the output head at every position, to dense (B, T, V) logits, and sums
+weight gradients with einsum. It shares only ``_stack_batch`` and
+``BatchLosses`` with the package; the trunk, the head, the loss and the
+whole backward pass are its own.
 
 Decoding: the original decoder, which reruns the full forward over the
 whole prefix for every emitted token, one candidate at a time, and tracks
@@ -28,7 +29,7 @@ from collections import deque
 import numpy as np
 
 from biant.evaluation import _edit_distances
-from biant.model import BatchLosses, _forward_batch, _merge_heads, _split_heads, _stack_batch, _trunk
+from biant.model import BatchLosses, _forward_batch, _stack_batch
 from biant.prompt import BOS, CTRL_FWD, DESC_LEN, EOS, SEP, SPECIAL_TOKEN
 from biant.vocab import ActionLabel
 
@@ -113,10 +114,53 @@ def ref_early_late_agreement(videos, scene_motifs, video_len) -> float:
     return float(np.mean(agreements)) if agreements else 0.0
 
 
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def _ref_gelu(x):
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x**3)))
+
+
 def _ref_gelu_grad(x):
-    c = math.sqrt(2.0 / math.pi)
-    t = np.tanh(c * (x + 0.044715 * x**3))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x**2)
+    t = np.tanh(_GELU_C * (x + 0.044715 * x**3))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+
+
+def _ref_heads(x, num_heads):
+    """(B, T, d) -> (B, H, T, d / H)."""
+    return np.stack(np.split(x, num_heads, axis=2), axis=1)
+
+
+def _ref_unheads(x):
+    """(B, H, T, d / H) -> (B, T, d)."""
+    return np.concatenate(list(np.moveaxis(x, 1, 0)), axis=2)
+
+
+def _ref_trunk(params, tokens):
+    """Every block at every position: the final (B, T, d) hidden states and
+    each layer's activations."""
+    cfg = params.config
+    p = params.arrays
+    t = tokens.shape[1]
+    scale = 1.0 / math.sqrt(cfg.embed_dim // cfg.num_heads)
+    future = np.triu(np.ones((t, t), dtype=bool), k=1)
+    x = p["tok_emb"][tokens] + p["pos_emb"][:t]
+    layers = []
+    for i in range(cfg.num_layers):
+        x_in = x
+        qh = _ref_heads(x_in @ p[f"l{i}.wq"] + p[f"l{i}.bq"], cfg.num_heads)
+        kh = _ref_heads(x_in @ p[f"l{i}.wk"], cfg.num_heads)
+        vh = _ref_heads(x_in @ p[f"l{i}.wv"] + p[f"l{i}.bv"], cfg.num_heads)
+        scores = np.where(future, -np.inf, np.einsum("bhqe,bhke->bhqk", qh, kh) * scale)
+        attn = np.exp(scores - scores.max(-1, keepdims=True))
+        attn /= attn.sum(-1, keepdims=True)
+        ctx = _ref_unheads(np.einsum("bhqk,bhke->bhqe", attn, vh))
+        x_mid = x_in + ctx @ p[f"l{i}.wo"] + p[f"l{i}.bo"]
+        h_pre = x_mid @ p[f"l{i}.w1"] + p[f"l{i}.b1"]
+        h = _ref_gelu(h_pre)
+        x = x_mid + h @ p[f"l{i}.w2"] + p[f"l{i}.b2"]
+        layers.append((x_in, qh, kh, vh, attn, ctx, x_mid, h_pre, h))
+    return x, layers
 
 
 def _ref_logsumexp(logits):
@@ -142,7 +186,7 @@ def ref_gradient_detailed(params, batch, w):
     p = params.arrays
     tokens, mask = _stack_batch(batch)
     b, t = tokens.shape
-    x_final, layers = _trunk(params, tokens, keep_cache=True)
+    x_final, layers = _ref_trunk(params, tokens)
     logits = x_final @ p["w_out"] + p["b_out"]
     losses = ref_losses_from_logits(logits, tokens, mask, batch, w)
     scale = 1.0 / math.sqrt(cfg.embed_dim // cfg.num_heads)
@@ -169,13 +213,13 @@ def ref_gradient_detailed(params, batch, w):
         dx_mid = dx + dh_pre @ p[f"l{i}.w1"].T
         grads[f"l{i}.wo"] = np.einsum("btd,bte->de", ctx, dx_mid)
         grads[f"l{i}.bo"] = dx_mid.sum((0, 1))
-        dctx = _split_heads(dx_mid @ p[f"l{i}.wo"].T, cfg.num_heads)
+        dctx = _ref_heads(dx_mid @ p[f"l{i}.wo"].T, cfg.num_heads)
         dattn = dctx @ vh.transpose(0, 1, 3, 2)
         dvh = attn.transpose(0, 1, 3, 2) @ dctx
         dscores = attn * (dattn - (dattn * attn).sum(-1, keepdims=True))
-        dq = _merge_heads(dscores @ kh * scale)
-        dk = _merge_heads(dscores.transpose(0, 1, 3, 2) @ qh * scale)
-        dv = _merge_heads(dvh)
+        dq = _ref_unheads(dscores @ kh * scale)
+        dk = _ref_unheads(dscores.transpose(0, 1, 3, 2) @ qh * scale)
+        dv = _ref_unheads(dvh)
         grads[f"l{i}.wq"] = np.einsum("btd,bte->de", x_in, dq)
         grads[f"l{i}.bq"] = dq.sum((0, 1))
         grads[f"l{i}.wk"] = np.einsum("btd,bte->de", x_in, dk)

@@ -26,7 +26,7 @@ from biant.model import (
     optimizer_step,
     save_checkpoint,
 )
-from biant.model import _forward_batch, _gradient_detailed
+from biant.model import _first_target_groups, _forward_batch, _gradient_detailed, _stack_batch
 from biant.prompt import SPECIAL_TOKEN, TokenSpace, encode_instance
 from biant.sequence import BACKWARD, FORWARD, WindowConfig, make_backward_instance, make_forward_instances
 from biant.vocab import scaled_vocabulary
@@ -137,12 +137,23 @@ def test_batch_padding_does_not_change_losses(tiny_params, space):
     assert math.isclose(padded, (alone + other) / 2.0, rel_tol=1e-12)
 
 
-def _equivalence_case(space, full_mask):
-    """Generic-scale 2-layer model and a mixed batch: full-length forward and
-    backward instances plus right-padded short backward ones. Without
+# Each batch of _equivalence_case and the rows that predict its groups' first
+# targets (the row of its last block's first query; see model._trunk).
+EQUIVALENCE_BATCHES = {
+    "mixed": [10, 13, 25, 49, 73],
+    "forward": [25],
+    "backward": [10, 49],
+    "empty_mask": [10, 25, 49, 73],
+}
+
+
+def _equivalence_case(space, full_mask, kind="mixed", num_layers=2):
+    """Generic-scale model and one of the EQUIVALENCE_BATCHES: "mixed" holds
+    full-length forward and backward instances plus right-padded short ones,
+    "empty_mask" is "mixed" with one instance's loss mask all false. Without
     ``full_mask`` the grammar-forced SEP/EOS targets leave the loss mask."""
     cfg = ModelConfig(vocab_size=space.size, context_len=96, embed_dim=16,
-                      num_heads=2, num_layers=2, mlp_hidden=24, seed=9)
+                      num_heads=2, num_layers=num_layers, mlp_hidden=24, seed=9)
     params = init_params(cfg)
     rng = np.random.default_rng(10)
     for name, arr in params.arrays.items():
@@ -150,23 +161,24 @@ def _equivalence_case(space, full_mask):
     video = make_video("eq", 29, seed=41, num_verbs=space.num_verbs, num_nouns=space.num_nouns)
     fwd = make_forward_instances(video, WindowConfig())
     short = make_forward_instances(video, WindowConfig(n_obs_fwd=4, z_fwd=6, n_obs_bwd=3))
-    insts = [fwd[0], make_backward_instance(short[0], 3), make_backward_instance(fwd[0], 16),
-             short[1], make_backward_instance(fwd[1], 24)]
+    insts = {
+        "forward": [fwd[0], fwd[1]],
+        "backward": [make_backward_instance(fwd[0], 16), make_backward_instance(short[0], 3),
+                     make_backward_instance(fwd[1], 16)],
+    }.get(kind, [fwd[0], make_backward_instance(short[0], 3), make_backward_instance(fwd[0], 16),
+                 short[1], make_backward_instance(fwd[1], 24)])
     batch = [encode_instance(space, i, SPECIAL_TOKEN) for i in insts]
     if not full_mask:
         for enc in batch:
             enc.loss_mask[enc.prompt_len + 2 :: 3] = False
-    assert len({len(e.tokens) for e in batch}) > 1
+    if kind == "empty_mask":
+        batch[3].loss_mask[:] = False
+    groups = _first_target_groups(_stack_batch(batch)[1])
+    assert [row for row, _ in groups] == EQUIVALENCE_BATCHES[kind]
     return params, batch
 
 
-@pytest.mark.parametrize("vocab_name", ["demo", "scaled"])
-@pytest.mark.parametrize("full_mask", [True, False])
-def test_target_head_matches_full_head_oracle(space, vocab_name, full_mask):
-    if vocab_name == "scaled":
-        space = TokenSpace(scaled_vocabulary())
-    params, batch = _equivalence_case(space, full_mask)
-    w = LossWeights(1.0, 0.6)
+def _assert_matches_oracle(params, batch, w):
     fast, fast_losses = _gradient_detailed(params, batch, w)
     slow, slow_losses = ref_gradient_detailed(params, batch, w)
     assert fast.keys() == slow.keys()
@@ -177,6 +189,25 @@ def test_target_head_matches_full_head_oracle(space, vocab_name, full_mask):
     assert math.isclose(fast_losses.objective, slow_losses.objective, rel_tol=1e-12)
     assert math.isclose(batch_objective(params, batch, w), slow_losses.objective, rel_tol=1e-12)
     assert fast_losses.directions == slow_losses.directions
+
+
+@pytest.mark.parametrize("vocab_name", ["demo", "scaled"])
+@pytest.mark.parametrize("full_mask", [True, False])
+def test_target_head_matches_full_head_oracle(space, vocab_name, full_mask):
+    if vocab_name == "scaled":
+        space = TokenSpace(scaled_vocabulary())
+    params, batch = _equivalence_case(space, full_mask)
+    assert len({len(e.tokens) for e in batch}) > 1
+    _assert_matches_oracle(params, batch, LossWeights(1.0, 0.6))
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+@pytest.mark.parametrize("kind", list(EQUIVALENCE_BATCHES))
+def test_grouped_step_matches_full_position_oracle(space, kind, num_layers):
+    """One group, several, padded ones and an instance with no target, each
+    against the oracle that runs every block at every position."""
+    params, batch = _equivalence_case(space, False, kind, num_layers)
+    _assert_matches_oracle(params, batch, LossWeights(1.0, 0.6))
 
 
 def test_gradient_zero_when_mask_empty(tiny_params, space):
@@ -366,7 +397,7 @@ import resource
 import numpy as np
 from biant.model import LossWeights, ModelConfig, gradient, init_adam, init_params, optimizer_step
 from biant.prompt import SPECIAL_TOKEN, TokenSpace, encode_instance
-from biant.sequence import AnnotatedVideo, WindowConfig, make_forward_instances
+from biant.sequence import AnnotatedVideo, WindowConfig, make_backward_instance, make_forward_instances
 from biant.vocab import ActionLabel, {vocab}
 
 space = TokenSpace({vocab}())
@@ -374,16 +405,18 @@ rng = np.random.default_rng(0)
 video = AnnotatedVideo("v", tuple(
     ActionLabel(int(rng.integers(space.num_verbs)), int(rng.integers(space.num_nouns)))
     for _ in range(28)))
-batch = [encode_instance(space, make_forward_instances(video, WindowConfig())[0], SPECIAL_TOKEN)] * 32
-assert len(batch[0].tokens) == 86
-params = init_params(ModelConfig(vocab_size=space.size))
-adam = init_adam(params)
-for i in range(13):
-    if i == 3:
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    grads, _ = gradient(params, batch, LossWeights(1.0, 0.5))
-    params, adam = optimizer_step(params, grads, adam, 1e-3)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+fwd = make_forward_instances(video, WindowConfig())[0]
+pair = [encode_instance(space, inst, SPECIAL_TOKEN) for inst in (fwd, make_backward_instance(fwd, 16))]
+assert [len(e.tokens) for e in pair] == [86, 86]
+for batch in ([pair[0]] * 32, pair * 16):
+    params = init_params(ModelConfig(vocab_size=space.size))
+    adam = init_adam(params)
+    for i in range(13):
+        if i == 3:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        grads, _ = gradient(params, batch, LossWeights(1.0, 0.5))
+        params, adam = optimizer_step(params, grads, adam, 1e-3)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
 """
 
 
@@ -392,9 +425,12 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
 def test_training_step_reuses_freed_memory(vocab):
     """After warm-up, a (32, 86) gradient + Adam step takes its temporaries
     from the heap, not from fresh pages (about 7,000 minor faults per step
-    at V = 42 and 4,100 at V = 660 under glibc's default policy)."""
+    at V = 42 and 4,100 at V = 660 under glibc's default policy). Checked on
+    32 forward instances (one first-target group) and on 16 forward plus 16
+    backward ones (two groups of different sizes)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(biant.model.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", _STEP_FAULTS.format(vocab=vocab)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    assert float(done.stdout) < 500
+    faults = [float(line) for line in done.stdout.split()]
+    assert len(faults) == 2 and max(faults) < 500, faults
