@@ -150,20 +150,29 @@ def _run_cell(cfg: RunConfig) -> tuple[float, float, float]:
     return report.mean_verb, report.mean_noun, report.mean_action
 
 
-def run_ablation(grid: str, cfg: RunConfig, seeds, values=None) -> AblationTable:
-    """One in-memory run per grid cell per master seed, aggregated into a table.
-    Every cell's config is built and checked before the first run starts."""
+def _ablation_runs(grid: str, cfg: RunConfig, seeds, values=None) -> list[tuple[str, list]]:
+    """(row label, one config per master seed) per grid cell, every config
+    built and checked."""
     if grid not in ABLATION_GRIDS:
         raise ConfigError(f"unknown ablation grid: {grid!r} (one of {sorted(ABLATION_GRIDS)})")
-    seeds = list(seeds)
     values = ABLATION_GRIDS[grid] if values is None else values
     if not seeds or not values:
         raise ConfigError("need at least one seed and one grid cell")
     cells = [_cell(grid, value) for value in values]
-    runs = [(label, [apply_overrides(cfg, seed=s, **overrides) for s in seeds])
+    return [(label, [apply_overrides(cfg, seed=s, **overrides) for s in seeds])
             for label, overrides in cells]
+
+
+def _ablation_table(grid: str, seeds: list, runs) -> AblationTable:
     rows = [AblationRow(label, [_run_cell(c) for c in configs]) for label, configs in runs]
     return AblationTable(grid=grid, seeds=seeds, rows=rows)
+
+
+def run_ablation(grid: str, cfg: RunConfig, seeds, values=None) -> AblationTable:
+    """One in-memory run per grid cell per master seed, aggregated into a table.
+    Every cell's config is built and checked before the first run starts."""
+    seeds = list(seeds)
+    return _ablation_table(grid, seeds, _ablation_runs(grid, cfg, seeds, values))
 
 
 def cmd_gen_data(args) -> int:
@@ -239,8 +248,10 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _resolved(args)
+    seeds = list(cfg.ablate_seeds)
+    runs = _ablation_runs(args.grid, cfg, seeds)  # checked before OUT is written
     out = _prepare_out(cfg, f"ablate_{args.grid}")
-    table = run_ablation(args.grid, cfg, cfg.ablate_seeds)
+    table = _ablation_table(args.grid, seeds, runs)
     table.to_csv(out / f"ablation_{args.grid}.csv")
     rendered = table.render()
     (out / f"ablation_{args.grid}.txt").write_text(rendered + "\n", encoding="utf-8")

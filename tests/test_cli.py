@@ -284,8 +284,8 @@ def test_ablate_bad_flag_fails_before_training(run_dir, tmp_path, capsys, monkey
 
 def test_ablate_bad_cell_fails_before_training(tmp_path, capsys, monkeypatch):
     """n_obs_bwd=16 leaves no backward future in a 14-segment window, and the
-    grid's earlier cells 4 and 8 are valid: no cell may train before the
-    last one is checked."""
+    grid's earlier cells 4 and 8 are valid: no cell may train, and no file
+    be written, before the last one is checked."""
     doc = {**SMALL_CONFIG, "window": {"n_obs_fwd": 4, "z_fwd": 10, "n_obs_bwd": 8, "stride": 6},
            "ablate": {"seeds": [0, 1]}}
     path = tmp_path / "config.json"
@@ -294,7 +294,7 @@ def test_ablate_bad_cell_fails_before_training(tmp_path, capsys, monkeypatch):
     code = main(["ablate", "--config", str(path), "--out", str(tmp_path / "o"),
                  "--grid", "obs_interval"])
     _assert_invalid_data(code, capsys, "ConfigError", "n_obs_bwd=16")
-    assert not (tmp_path / "o" / "ablation_obs_interval.csv").exists()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [

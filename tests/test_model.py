@@ -426,8 +426,9 @@ def test_training_step_reuses_freed_memory(vocab):
     """After warm-up, a (32, 86) gradient + Adam step takes its temporaries
     from the heap, not from fresh pages (about 7,000 minor faults per step
     at V = 42 and 4,100 at V = 660 under glibc's default policy). Checked on
-    32 forward instances (one first-target group) and on 16 forward plus 16
-    backward ones (two groups of different sizes)."""
+    32 forward instances (one first-target group) and on 16 forward and 16
+    backward ones, interleaved (two groups, with last blocks of 61 and 37
+    rows)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(biant.model.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", _STEP_FAULTS.format(vocab=vocab)], env=env,
