@@ -196,24 +196,30 @@ def save_corpus_meta(corpus: SyntheticCorpus, path: str | Path) -> None:
 
 def load_corpus(annotations_path: str | Path, meta_path: str | Path,
                 vocab: Vocabulary) -> SyntheticCorpus:
-    """Rebuild a corpus from its annotation file and metadata sidecar. Every
-    split id must name exactly one video, and no id may be listed twice."""
+    """Rebuild a corpus from its annotation file and metadata sidecar. Each
+    split is an array of video ids; every id must name exactly one video,
+    and no id may be listed twice."""
     videos = load_annotations(annotations_path, vocab)
     meta = load_json(meta_path)
     try:
         split = meta["split"]
+        ids = {name: split[name] for name in ("train", "val", "test")}
+        for name, value in ids.items():
+            if not (isinstance(value, list) and all(isinstance(i, str) for i in value)):
+                raise ParseError(f"{meta_path}: split {name!r} must be an array of "
+                                 f"video id strings, got {value!r:.60}")
         corpus = SyntheticCorpus(
             videos=videos,
-            train_ids=list(split["train"]),
-            val_ids=list(split["val"]),
-            test_ids=list(split["test"]),
+            train_ids=ids["train"],
+            val_ids=ids["val"],
+            test_ids=ids["test"],
             sanity=dict(meta.get("sanity", {})),
         )
         listed = Counter(corpus.train_ids + corpus.val_ids + corpus.test_ids)
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"{meta_path}: bad corpus metadata: {type(err).__name__}: {err}") from err
     per_id = Counter(v.id for v in videos)
-    bad = sorted(str(i) for i, n in listed.items() if n > 1 or per_id[i] != 1)
+    bad = sorted(i for i, n in listed.items() if n > 1 or per_id[i] != 1)
     if bad:
         raise ParseError(f"{meta_path}: each split id must be listed once and name one "
                          f"video of {annotations_path}: {bad}")

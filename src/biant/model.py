@@ -5,19 +5,21 @@ and position embeddings, all in float64 numpy. The backward pass is written
 by hand so it can be checked against central finite differences to tight
 tolerance; training is bitwise deterministic given the seeds.
 
-Per-instance losses are teacher-forced cross-entropies summed over the
-target positions; forward and backward anticipation instances use the same
-loss, weighted alpha and beta respectively in the joint objective.
+An instance's targets are its tokens from ``prompt_len`` on. Per-instance
+losses are teacher-forced cross-entropies summed over them; forward and
+backward anticipation instances use the same loss, weighted alpha and beta
+respectively in the joint objective. A training batch is a rectangle: its
+instances all have the same length and differ only in prompt length.
 
 Training and decoding share one trunk (embeddings plus blocks; decoding
 steps it against a key/value cache). Decoding applies the output head at
 every position; the loss and its gradient apply it only at the target
 positions. Training also runs the last block only where it can reach a
-target: a batch is split into groups of instances whose first target is
-predicted at the same row, and each group's last block computes queries,
-attention rows, output projection and MLP from that row on (its keys and
-values, and every lower block, still cover all positions). Each group's
-weight gradients are 2-D matmuls over its positions, added in row order.
+target: a batch is split into groups of equal prompt length p, and each
+group's last block computes queries, attention rows, output projection and
+MLP from row p - 1, the first that predicts a target (its keys and values,
+and every lower block, still cover all positions). Each group's weight
+gradients are 2-D matmuls over its positions, added in prompt-length order.
 """
 
 from __future__ import annotations
@@ -249,18 +251,19 @@ def forward(params: Parameters, tokens) -> np.ndarray:
 
 
 def _stack_batch(batch: list[EncodedInstance]) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad a batch with PAD tokens; padded positions carry no loss."""
+    """The batch's tokens as one (B, T) array, and each instance's prompt
+    length; every instance must have T tokens, and its targets are the
+    tokens from its prompt length on."""
     if not batch:
         raise ShapeMismatch("empty batch")
-    t_max = max(len(e.tokens) for e in batch)
-    tokens = np.zeros((len(batch), t_max), dtype=np.int64)
-    mask = np.zeros((len(batch), t_max), dtype=bool)
-    for i, e in enumerate(batch):
-        tokens[i, : len(e.tokens)] = e.tokens
-        mask[i, : len(e.loss_mask)] = e.loss_mask
-    if mask[:, 0].any():  # no position predicts token 0
-        raise ShapeMismatch("loss mask cannot be true at position 0")
-    return tokens, mask
+    lengths = sorted({len(e.tokens) for e in batch})
+    if len(lengths) > 1:
+        raise ShapeMismatch(f"a batch needs instances of one length, got lengths {lengths}")
+    prompt_lens = np.array([e.prompt_len for e in batch])
+    if not ((1 <= prompt_lens) & (prompt_lens <= lengths[0])).all():
+        raise ShapeMismatch(f"prompt lengths must lie in [1, {lengths[0]}] (no position "
+                            f"predicts token 0), got {sorted(set(prompt_lens.tolist()))}")
+    return np.stack([e.tokens for e in batch]), prompt_lens
 
 
 @dataclass
@@ -269,7 +272,6 @@ class BatchLosses:
 
     objective: float
     per_instance: np.ndarray
-    weights: np.ndarray
     directions: list[str]
 
 
@@ -278,63 +280,56 @@ def batch_objective(params: Parameters, batch: list[EncodedInstance], w: LossWei
     return _batch_losses(params, batch, w).objective
 
 
-def _target_losses(params, hidden, rows, targets, batch, w) -> tuple[BatchLosses, np.ndarray]:
+def _target_losses(params, hidden, targets) -> tuple[np.ndarray, np.ndarray]:
     """Cross-entropy of the output head, applied only to the (N, d) hidden
-    states that predict a target; ``rows`` gives each one's instance.
-    Returns the losses and the head's softmax (N, V)."""
+    states that predict the N ``targets``: each one's NLL, and the head's
+    softmax (N, V)."""
     shifted = hidden @ params.arrays["w_out"] + params.arrays["b_out"]
     shifted -= shifted.max(axis=1, keepdims=True)
-    target_logits = shifted[np.arange(len(rows)), targets]
+    target_logits = shifted[np.arange(len(targets)), targets]
     probs = np.exp(shifted, out=shifted)
     total = probs.sum(axis=1)
     probs /= total[:, None]
-    nll = np.log(total) - target_logits
-    per_instance = np.bincount(rows, weights=nll, minlength=len(batch))
-    weights = np.array([w.for_direction(e.direction) for e in batch])
-    objective = float((weights * per_instance).mean())
-    return BatchLosses(objective, per_instance, weights, [e.direction for e in batch]), probs
-
-
-def _first_target_groups(mask: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """(row, instance indices) per group of instances whose first target is
-    predicted at hidden row ``row``, in row order. An instance without a
-    target is in no group."""
-    first = mask.argmax(1) - 1
-    return [(int(row), np.flatnonzero(first == row)) for row in np.unique(first[first >= 0])]
+    return np.log(total) - target_logits, probs
 
 
 def _batch_losses(params, batch, w, grads=None) -> BatchLosses:
-    """The batch's losses, computed one first-target group at a time (each
-    group's last block starts at its row; see ``_trunk``). With ``grads``,
-    adds each group's gradient of the batch objective into it as well."""
-    tokens, mask = _stack_batch(batch)
-    b = len(batch)
+    """The batch's losses, computed one group of equal prompt length p at a
+    time: the group's last block starts at row p - 1, the first row that
+    predicts a target (see ``_trunk``). An instance whose prompt is all of
+    its tokens has no target and is in no group. With ``grads``, adds each
+    group's gradient of the batch objective into it as well."""
+    tokens, prompt_lens = _stack_batch(batch)
+    b, t = tokens.shape
+    weights = np.array([w.for_direction(e.direction) for e in batch])
     per_instance = np.zeros(b)
-    for first, idx in _first_target_groups(mask):
+    for p in np.unique(prompt_lens[prompt_lens < t]):
+        idx = np.flatnonzero(prompt_lens == p)
         group_tokens = tokens[idx]
-        x, layers = _trunk(params, group_tokens, keep_cache=grads is not None, first=first)
-        rows, cols = np.nonzero(mask[idx])
-        hidden, targets = x[rows, cols - 1 - first], group_tokens[rows, cols]
-        losses, dlog = _target_losses(params, hidden, rows, targets, [batch[i] for i in idx], w)
-        per_instance[idx] = losses.per_instance
+        x, layers = _trunk(params, group_tokens, keep_cache=grads is not None, first=p - 1)
+        # Row r of x predicts token p + r; the last row predicts nothing.
+        hidden = x[:, :-1].reshape(-1, x.shape[-1])
+        targets = group_tokens[:, p:].reshape(-1)
+        owner = np.repeat(idx, t - p)
+        nll, dlog = _target_losses(params, hidden, targets)
+        per_instance += np.bincount(owner, weights=nll, minlength=b)
         if grads is None:
             continue
-        if not np.isfinite(losses.objective):
-            raise NumericalDivergence(f"non-finite loss ({losses.objective})")
+        if not np.isfinite(nll).all():
+            raise NumericalDivergence("non-finite loss")
         # d objective / d logits at the target positions: softmax minus
         # one-hot, scaled in place so no second (N, V) array is allocated.
-        coeff = losses.weights[rows] / b
+        coeff = weights[owner] / b
         dlog *= coeff[:, None]
-        dlog[np.arange(len(rows)), targets] -= coeff
+        dlog[np.arange(len(targets)), targets] -= coeff
         grads["w_out"] += hidden.T @ dlog
         grads["b_out"] += dlog.sum(0)
         dx = np.zeros_like(x)
-        dx[rows, cols - 1 - first] = dlog @ params.arrays["w_out"].T
+        dx[:, :-1] = (dlog @ params.arrays["w_out"].T).reshape(len(idx), t - p, -1)
         del dlog  # freed before the backward pass allocates its own
-        _trunk_backward(params, layers, dx, group_tokens, first, grads)
-    weights = np.array([w.for_direction(e.direction) for e in batch])
+        _trunk_backward(params, layers, dx, group_tokens, p - 1, grads)
     objective = float((weights * per_instance).mean())
-    return BatchLosses(objective, per_instance, weights, [e.direction for e in batch])
+    return BatchLosses(objective, per_instance, [e.direction for e in batch])
 
 
 def gradient(
@@ -445,15 +440,10 @@ def make_gradcheck_case(seed: int = 0) -> tuple[Parameters, list[EncodedInstance
     for name, arr in params.arrays.items():
         scale = 0.1 if name.endswith(("bq", "bv", "bo", "b1", "b2", "b_out")) else 0.5
         params.arrays[name] = rng.normal(0.0, scale, arr.shape)
-    batch = []
-    for direction, length in ((FORWARD, 12), (BACKWARD, 10)):
-        tokens = rng.integers(0, cfg.vocab_size, length)
-        mask = np.zeros(length, dtype=bool)
-        mask[length // 2 :] = True
-        batch.append(EncodedInstance(
-            tokens=tokens.astype(np.int64), loss_mask=mask,
-            prompt_len=length // 2, direction=direction,
-            instance_id=f"gradcheck:{direction}"))
+    batch = [EncodedInstance(tokens=rng.integers(0, cfg.vocab_size, 12).astype(np.int64),
+                             prompt_len=prompt_len, direction=direction,
+                             instance_id=f"gradcheck:{direction}")
+             for direction, prompt_len in ((FORWARD, 6), (BACKWARD, 4))]
     return params, batch, LossWeights(1.0, 0.5)
 
 

@@ -10,8 +10,10 @@ Layout of the closed token space derived from a vocabulary:
 
 Every encoded instance is BOS, preamble, then (verb, noun, SEP) per observed
 action, then (verb, noun, SEP) per future action with the final SEP replaced
-by EOS. The loss mask is true exactly on the future-region tokens, i.e. the
-positions the model is trained to emit.
+by EOS. Its ``prompt_len`` tokens end at the last observed SEP; the tokens
+after them are the target region, the tokens the model is trained to emit.
+PAD is never written, since training batches hold instances of one length,
+but keeps id 0 so that every other token id stays where it is.
 
 That output grammar is a fixed positional schedule: position p of a z-action
 target region holds a verb if p % 3 == 0, a noun if p % 3 == 1 and SEP
@@ -112,10 +114,9 @@ class TokenSpace:
 
 @dataclass
 class EncodedInstance:
-    """Token ids plus the loss mask marking target-prediction positions."""
+    """Token ids; the targets are ``tokens[prompt_len:]``."""
 
     tokens: np.ndarray
-    loss_mask: np.ndarray
     prompt_len: int
     direction: str
     instance_id: str = ""
@@ -144,21 +145,16 @@ def encode_prompt(space: TokenSpace, mode: str, direction: str, observed) -> lis
 def encode_instance(space: TokenSpace, inst: AnticipationInstance, mode: str) -> EncodedInstance:
     """Encode an instance as prompt + teacher-forced target tokens.
 
-    The loss mask is false through the last observed SEP and true afterward,
-    which charges loss on 2*|future| action tokens, |future|-1 SEPs, and the
-    final EOS.
+    The prompt runs through the last observed SEP; the targets after it are
+    2*|future| action tokens, |future|-1 SEPs, and the final EOS.
     """
     ids = encode_prompt(space, mode, inst.direction, inst.observed)
     prompt_len = len(ids)
     for i, a in enumerate(inst.future):
         last = i == len(inst.future) - 1
         ids.extend((space.verb_token(a.verb), space.noun_token(a.noun), EOS if last else SEP))
-    tokens = np.asarray(ids, dtype=np.int64)
-    mask = np.zeros(len(ids), dtype=bool)
-    mask[prompt_len:] = True
     return EncodedInstance(
-        tokens=tokens,
-        loss_mask=mask,
+        tokens=np.asarray(ids, dtype=np.int64),
         prompt_len=prompt_len,
         direction=inst.direction,
         instance_id=inst.instance_id,

@@ -11,9 +11,10 @@ generator drew.
 
 Gradient: the model's original training step, which runs every block and
 the output head at every position, to dense (B, T, V) logits, and sums
-weight gradients with einsum. It shares only ``_stack_batch`` and
-``BatchLosses`` with the package; the trunk, the head, the loss and the
-whole backward pass are its own.
+weight gradients with einsum. It builds its own target mask, true from each
+instance's ``prompt_len`` on, and shares only ``BatchLosses`` with the
+package; the trunk, the head, the loss and the whole backward pass are its
+own.
 
 Decoding: the original decoder, which reruns the full forward over the
 whole prefix for every emitted token, one candidate at a time, and tracks
@@ -29,7 +30,7 @@ from collections import deque
 import numpy as np
 
 from biant.evaluation import _edit_distances
-from biant.model import BatchLosses, _forward_batch, _stack_batch
+from biant.model import BatchLosses, _forward_batch
 from biant.prompt import BOS, CTRL_FWD, DESC_LEN, EOS, SEP, SPECIAL_TOKEN
 from biant.vocab import ActionLabel
 
@@ -168,32 +169,42 @@ def _ref_logsumexp(logits):
     return m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
 
 
-def ref_losses_from_logits(logits, tokens, mask, batch, w):
-    """Per-instance NLL from full (B, T, V) logits; weighted mean as objective."""
+def _ref_target_mask(batch):
+    """(B, T) bool: true at each instance's targets, from its prompt_len on."""
+    return np.array([[i >= e.prompt_len for i in range(len(e.tokens))] for e in batch])
+
+
+def _ref_weights(batch, w):
+    return np.array([w.for_direction(e.direction) for e in batch])
+
+
+def ref_losses_from_logits(logits, batch, w):
+    """Per-instance NLL from the batch's full (B, T, V) logits; weighted mean
+    as objective."""
+    tokens = np.array([e.tokens for e in batch])
     logp = logits - _ref_logsumexp(logits)
-    rows, cols = np.nonzero(mask)
+    rows, cols = np.nonzero(_ref_target_mask(batch))
     nll = -logp[rows, cols - 1, tokens[rows, cols]]
     per_instance = np.zeros(len(batch))
     np.add.at(per_instance, rows, nll)
-    weights = np.array([w.for_direction(e.direction) for e in batch])
-    objective = float((weights * per_instance).mean())
-    return BatchLosses(objective, per_instance, weights, [e.direction for e in batch])
+    objective = float((_ref_weights(batch, w) * per_instance).mean())
+    return BatchLosses(objective, per_instance, [e.direction for e in batch])
 
 
 def ref_gradient_detailed(params, batch, w):
     """Exact gradient through the full-vocabulary head: (grads, BatchLosses)."""
     cfg = params.config
     p = params.arrays
-    tokens, mask = _stack_batch(batch)
+    tokens = np.array([e.tokens for e in batch])
     b, t = tokens.shape
     x_final, layers = _ref_trunk(params, tokens)
     logits = x_final @ p["w_out"] + p["b_out"]
-    losses = ref_losses_from_logits(logits, tokens, mask, batch, w)
+    losses = ref_losses_from_logits(logits, batch, w)
     scale = 1.0 / math.sqrt(cfg.embed_dim // cfg.num_heads)
 
     probs = np.exp(logits - _ref_logsumexp(logits))
-    rows, cols = np.nonzero(mask)
-    coeff = losses.weights[rows] / b
+    rows, cols = np.nonzero(_ref_target_mask(batch))
+    coeff = _ref_weights(batch, w)[rows] / b
     dlogits = np.zeros_like(logits)
     dlogits[rows, cols - 1, :] = probs[rows, cols - 1, :] * coeff[:, None]
     dlogits[rows, cols - 1, tokens[rows, cols]] -= coeff

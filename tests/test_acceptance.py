@@ -318,13 +318,12 @@ def test_09_closed_form_loss_values(announce, space):
                 for inst in (fwd, make_backward_instance(fwd, 16)):
                     for mode in (SPECIAL_TOKEN, DETAILED_DESCRIPTION):
                         enc = encode_instance(loss_space, inst, mode)
-                        m = int(enc.loss_mask.sum())
+                        targets = enc.tokens[enc.prompt_len :]
                         uniform = batch_objective(params, [enc], LossWeights())
-                        worst_uniform = max(worst_uniform, abs(uniform - m * math.log(v)))
-                        targets = enc.tokens[enc.loss_mask]
-                        losses, _ = _target_losses(head, np.eye(v)[targets], np.zeros(m, int),
-                                                   targets, [enc], LossWeights())
-                        worst_perfect = max(worst_perfect, abs(float(losses.per_instance[0])))
+                        worst_uniform = max(worst_uniform,
+                                            abs(uniform - len(targets) * math.log(v)))
+                        nll, _ = _target_losses(head, np.eye(v)[targets], targets)
+                        worst_perfect = max(worst_perfect, abs(float(nll.sum())))
                         cases += 1
     announce(
         "training objective hits its closed forms",

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 
@@ -172,4 +173,10 @@ def test_load_corpus_bad_meta(tmp_path, vocab):
     for split, named in ((unknown, "nope"), (shared, good["split"]["train"][0])):
         meta.write_text(json.dumps({**good, "split": split}))
         with pytest.raises(ParseError, match=f"listed once and name one video.*{named}"):
+            load_corpus(ann, meta, vocab)
+    # A split written as one string is not read as a list of its characters.
+    for name, value in (("train", good["split"]["train"][0]), ("test", [3])):
+        meta.write_text(json.dumps({**good, "split": {**good["split"], name: value}}))
+        with pytest.raises(ParseError, match=re.escape(f"split '{name}' must be an array "
+                                                       f"of video id strings, got {value!r}")):
             load_corpus(ann, meta, vocab)

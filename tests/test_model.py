@@ -26,7 +26,7 @@ from biant.model import (
     optimizer_step,
     save_checkpoint,
 )
-from biant.model import _first_target_groups, _forward_batch, _gradient_detailed, _stack_batch
+from biant.model import _forward_batch, _gradient_detailed
 from biant.prompt import SPECIAL_TOKEN, TokenSpace, encode_instance
 from biant.sequence import BACKWARD, FORWARD, WindowConfig, make_backward_instance, make_forward_instances
 from biant.vocab import scaled_vocabulary
@@ -109,49 +109,62 @@ def test_batch_objective_matches_single_instance_losses(tiny_params, space):
     w = LossWeights(1.0, 0.5)
     singles = []
     for enc in batch:
-        tokens, mask = enc.tokens[None, :], enc.loss_mask[None, :]
-        logits = _forward_batch(tiny_params, tokens)
-        singles.append(ref_losses_from_logits(logits, tokens, mask, [enc], w).per_instance[0])
+        logits = _forward_batch(tiny_params, enc.tokens[None, :])
+        singles.append(ref_losses_from_logits(logits, [enc], w).per_instance[0])
     expect = np.mean([w.for_direction(e.direction) * l for e, l in zip(batch, singles)])
     assert math.isclose(batch_objective(tiny_params, batch, w), expect, rel_tol=1e-10)
 
 
 def test_loss_mask_at_position_zero_is_rejected(tiny_params, space):
+    """A target at position 0 (prompt_len 0) has no position to predict it."""
     bad = small_batch(space, 1)[0]
-    bad.loss_mask[0] = True
-    with pytest.raises(ShapeMismatch, match="position 0"):
+    bad.prompt_len = 0
+    with pytest.raises(ShapeMismatch, match="predicts token 0"):
+        batch_objective(tiny_params, [bad], LossWeights())
+    bad.prompt_len = len(bad.tokens) + 1
+    with pytest.raises(ShapeMismatch, match="prompt lengths"):
         batch_objective(tiny_params, [bad], LossWeights())
 
 
-def test_batch_padding_does_not_change_losses(tiny_params, space):
+def test_mixed_length_batch_is_rejected(tiny_params, space):
     video = make_video("v", 29, seed=30)
-    insts = make_forward_instances(video, WindowConfig())
-    encs = [encode_instance(space, i, SPECIAL_TOKEN) for i in insts]
+    full = encode_instance(space, make_forward_instances(video, WindowConfig())[0], SPECIAL_TOKEN)
     short_inst = make_forward_instances(video, WindowConfig(n_obs_fwd=4, z_fwd=6, n_obs_bwd=3))[0]
     short = encode_instance(space, make_backward_instance(short_inst, 3), SPECIAL_TOKEN)
-    assert len(short.tokens) < len(encs[0].tokens)
-    w = LossWeights(1.0, 1.0)
-    alone = batch_objective(tiny_params, [short], w)
-    padded = batch_objective(tiny_params, [short, encs[0]], w)
-    other = batch_objective(tiny_params, [encs[0]], w)
-    assert math.isclose(padded, (alone + other) / 2.0, rel_tol=1e-12)
+    assert (len(short.tokens), len(full.tokens)) == (32, 86)
+    for batch in ([short, full], [full, full, short]):
+        with pytest.raises(ShapeMismatch, match=r"one length, got lengths \[32, 86\]"):
+            batch_objective(tiny_params, batch, LossWeights())
+        with pytest.raises(ShapeMismatch, match="one length"):
+            gradient(tiny_params, batch, LossWeights())
 
 
 # Each batch of _equivalence_case and the rows that predict its groups' first
-# targets (the row of its last block's first query; see model._trunk).
+# targets (prompt_len - 1, the row of its last block's first query; see
+# model._trunk).
 EQUIVALENCE_BATCHES = {
     "mixed": [10, 13, 25, 49, 73],
     "forward": [25],
     "backward": [10, 49],
-    "empty_mask": [10, 25, 49, 73],
+    "empty_mask": [10, 25, 49, 73, 84],
+    "short": [10, 13, 16, 22],
+}
+# Each batch's instances as (forward instance, n_obs_bwd of its backward
+# twin, or None for the forward instance itself).
+_LAYOUTS = {
+    "mixed": [(0, None), (0, 3), (0, 16), (1, 4), (1, 24)],
+    "forward": [(0, None), (1, None)],
+    "backward": [(0, 16), (0, 3), (1, 16)],
+    "short": [(0, None), (0, 3), (1, 7), (1, 5)],
 }
 
 
-def _equivalence_case(space, full_mask, kind="mixed", num_layers=2):
-    """Generic-scale model and one of the EQUIVALENCE_BATCHES: "mixed" holds
-    full-length forward and backward instances plus right-padded short ones,
-    "empty_mask" is "mixed" with one instance's loss mask all false. Without
-    ``full_mask`` the grammar-forced SEP/EOS targets leave the loss mask."""
+def _equivalence_case(space, kind="mixed", num_layers=2):
+    """Generic-scale model and one of the EQUIVALENCE_BATCHES. Each batch
+    covers one window: the default 28 segments (86 tokens), or 10 segments
+    (32 tokens) for "short". "empty_mask" is "mixed" with one instance's
+    prompt taking all its tokens, so it has no target, plus one whose only
+    target is its EOS."""
     cfg = ModelConfig(vocab_size=space.size, context_len=96, embed_dim=16,
                       num_heads=2, num_layers=num_layers, mlp_hidden=24, seed=9)
     params = init_params(cfg)
@@ -159,22 +172,16 @@ def _equivalence_case(space, full_mask, kind="mixed", num_layers=2):
     for name, arr in params.arrays.items():
         params.arrays[name] = rng.normal(0.0, 0.3, arr.shape)
     video = make_video("eq", 29, seed=41, num_verbs=space.num_verbs, num_nouns=space.num_nouns)
-    fwd = make_forward_instances(video, WindowConfig())
-    short = make_forward_instances(video, WindowConfig(n_obs_fwd=4, z_fwd=6, n_obs_bwd=3))
-    insts = {
-        "forward": [fwd[0], fwd[1]],
-        "backward": [make_backward_instance(fwd[0], 16), make_backward_instance(short[0], 3),
-                     make_backward_instance(fwd[1], 16)],
-    }.get(kind, [fwd[0], make_backward_instance(short[0], 3), make_backward_instance(fwd[0], 16),
-                 short[1], make_backward_instance(fwd[1], 24)])
-    batch = [encode_instance(space, i, SPECIAL_TOKEN) for i in insts]
-    if not full_mask:
-        for enc in batch:
-            enc.loss_mask[enc.prompt_len + 2 :: 3] = False
+    window = WindowConfig(n_obs_fwd=4, z_fwd=6, n_obs_bwd=3) if kind == "short" else WindowConfig()
+    fwd = make_forward_instances(video, window)
+    batch = [encode_instance(space, fwd[i] if n is None else make_backward_instance(fwd[i], n),
+                             SPECIAL_TOKEN) for i, n in _LAYOUTS.get(kind, _LAYOUTS["mixed"])]
     if kind == "empty_mask":
-        batch[3].loss_mask[:] = False
-    groups = _first_target_groups(_stack_batch(batch)[1])
-    assert [row for row, _ in groups] == EQUIVALENCE_BATCHES[kind]
+        batch[3].prompt_len = len(batch[3].tokens)
+        batch.append(encode_instance(space, fwd[1], SPECIAL_TOKEN))
+        batch[-1].prompt_len = len(batch[-1].tokens) - 1
+    rows = sorted({e.prompt_len - 1 for e in batch if e.prompt_len < len(e.tokens)})
+    assert rows == EQUIVALENCE_BATCHES[kind]
     return params, batch
 
 
@@ -192,27 +199,29 @@ def _assert_matches_oracle(params, batch, w):
 
 
 @pytest.mark.parametrize("vocab_name", ["demo", "scaled"])
-@pytest.mark.parametrize("full_mask", [True, False])
-def test_target_head_matches_full_head_oracle(space, vocab_name, full_mask):
+@pytest.mark.parametrize("full_window", [True, False])
+def test_target_head_matches_full_head_oracle(space, vocab_name, full_window):
+    """The mixed batch of the default window (86 tokens) and the short batch
+    of a 10-segment window (32 tokens), on both vocabularies."""
     if vocab_name == "scaled":
         space = TokenSpace(scaled_vocabulary())
-    params, batch = _equivalence_case(space, full_mask)
-    assert len({len(e.tokens) for e in batch}) > 1
+    params, batch = _equivalence_case(space, "mixed" if full_window else "short")
+    assert {len(e.tokens) for e in batch} == {86 if full_window else 32}
     _assert_matches_oracle(params, batch, LossWeights(1.0, 0.6))
 
 
 @pytest.mark.parametrize("num_layers", [1, 2])
 @pytest.mark.parametrize("kind", list(EQUIVALENCE_BATCHES))
 def test_grouped_step_matches_full_position_oracle(space, kind, num_layers):
-    """One group, several, padded ones and an instance with no target, each
-    against the oracle that runs every block at every position."""
-    params, batch = _equivalence_case(space, False, kind, num_layers)
+    """One group, several, and an instance with no target, each against the
+    oracle that runs every block at every position."""
+    params, batch = _equivalence_case(space, kind, num_layers)
     _assert_matches_oracle(params, batch, LossWeights(1.0, 0.6))
 
 
 def test_gradient_zero_when_mask_empty(tiny_params, space):
     enc = small_batch(space, 1)[0]
-    enc.loss_mask[:] = False
+    enc.prompt_len = len(enc.tokens)
     grads, obj = gradient(tiny_params, [enc], LossWeights(1.0, 1.0))
     assert obj == 0.0
     for g in grads.values():
