@@ -75,68 +75,47 @@ OBS_INTERVAL = "obs_interval"
 LOSS_WEIGHTS = "loss_weights"
 TOKEN_TYPE = "token_type"
 
-ABLATION_GRIDS: dict[str, list] = {
-    OBS_INTERVAL: [4, 8, 16, 24],
-    LOSS_WEIGHTS: [(1.0, 0.5), (1.0, 0.75), (1.0, 1.0)],
-    TOKEN_TYPE: [DETAILED_DESCRIPTION, SPECIAL_TOKEN],
+# Each grid maps a row label to the CLI-flag overrides of that cell.
+ABLATION_GRIDS: dict[str, dict[str, dict]] = {
+    OBS_INTERVAL: {str(n): {"n_obs_bwd": n} for n in (4, 8, 16, 24)},
+    LOSS_WEIGHTS: {f"alpha=1 beta={b:g}": {"alpha": 1.0, "beta": b} for b in (0.5, 0.75, 1.0)},
+    TOKEN_TYPE: {mode: {"preamble": mode} for mode in (DETAILED_DESCRIPTION, SPECIAL_TOKEN)},
 }
 
 
 @dataclass
-class AblationRow:
-    """One grid cell: (verb, noun, action) mean ED per master seed, in seed order."""
-
-    label: str
-    per_seed: list[tuple[float, float, float]]
-
-    @property
-    def mean(self) -> dict[str, float]:
-        return {a: float(col.mean()) for a, col in zip(AXES, np.asarray(self.per_seed).T)}
-
-    @property
-    def std(self) -> dict[str, float]:
-        return {a: float(col.std()) for a, col in zip(AXES, np.asarray(self.per_seed).T)}
-
-
-@dataclass
 class AblationTable:
-    """One ablation layout: rows = grid cells, columns = per-axis mean/std."""
+    """One ablation layout: one row per grid cell, holding its (verb, noun,
+    action) mean ED per master seed in seed order; the table shows each
+    axis's mean and std over the seeds."""
 
     grid: str
     seeds: list[int]
-    rows: list[AblationRow]
+    rows: dict[str, list[tuple[float, float, float]]]
+
+    def stats(self) -> dict[str, list[tuple[float, float]]]:
+        """Per row label, the (mean, std) over seeds of each axis in AXES order."""
+        return {label: [(float(col.mean()), float(col.std())) for col in np.asarray(per_seed).T]
+                for label, per_seed in self.rows.items()}
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([self.grid, "verb_mean", "verb_std", "noun_mean", "noun_std",
                              "action_mean", "action_std"])
-            for row in self.rows:
-                writer.writerow([row.label] + [repr(getattr(row, stat)[a]) for a in AXES
-                                               for stat in ("mean", "std")])
+            for label, stats in self.stats().items():
+                writer.writerow([label] + [repr(v) for pair in stats for v in pair])
 
     def render(self) -> str:
         """Aligned text table, one row per cell, mean+-std per axis."""
         header = [self.grid, "verb", "noun", "action"]
-        lines = [[row.label] + [f"{row.mean[a]:.3f}+-{row.std[a]:.3f}" for a in AXES]
-                 for row in self.rows]
+        lines = [[label] + [f"{mean:.3f}+-{std:.3f}" for mean, std in stats]
+                 for label, stats in self.stats().items()]
         widths = [max(len(r[c]) for r in [header] + lines) for c in range(4)]
         out = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
         out.append("  ".join("-" * w for w in widths))
         out.extend("  ".join(v.ljust(w) for v, w in zip(line, widths)) for line in lines)
         return "\n".join(out)
-
-
-def _cell(grid: str, value) -> tuple[str, dict]:
-    """Row label and the CLI-flag overrides of one grid cell."""
-    if grid == OBS_INTERVAL:
-        return str(value), {"n_obs_bwd": value}
-    if grid == LOSS_WEIGHTS:
-        alpha, beta = value
-        return f"alpha={alpha:g} beta={beta:g}", {"alpha": alpha, "beta": beta}
-    if grid == TOKEN_TYPE:
-        return str(value), {"preamble": value}
-    raise ConfigError(f"unknown ablation grid: {grid!r}")
 
 
 def _run_cell(cfg: RunConfig) -> tuple[float, float, float]:
@@ -147,32 +126,32 @@ def _run_cell(cfg: RunConfig) -> tuple[float, float, float]:
     params, _ = train(corpus.train, train_config(cfg), model_config(cfg, space), space)
     report = evaluate(params, space, corpus.test, eval_window(cfg),
                       gen_config(cfg), cfg.preamble)
-    return report.mean_verb, report.mean_noun, report.mean_action
+    return tuple(report.means[a] for a in AXES)
 
 
-def _ablation_runs(grid: str, cfg: RunConfig, seeds, values=None) -> list[tuple[str, list]]:
-    """(row label, one config per master seed) per grid cell, every config
-    built and checked."""
+def _ablation_runs(grid: str, cfg: RunConfig, seeds, cells=None) -> dict[str, list]:
+    """One config per master seed per row label, every config built and
+    checked; ``cells`` ({label: overrides}) defaults to the grid's."""
     if grid not in ABLATION_GRIDS:
         raise ConfigError(f"unknown ablation grid: {grid!r} (one of {sorted(ABLATION_GRIDS)})")
-    values = ABLATION_GRIDS[grid] if values is None else values
-    if not seeds or not values:
+    cells = ABLATION_GRIDS[grid] if cells is None else cells
+    if not seeds or not cells:
         raise ConfigError("need at least one seed and one grid cell")
-    cells = [_cell(grid, value) for value in values]
-    return [(label, [apply_overrides(cfg, seed=s, **overrides) for s in seeds])
-            for label, overrides in cells]
+    return {label: [apply_overrides(cfg, seed=s, **overrides) for s in seeds]
+            for label, overrides in cells.items()}
 
 
-def _ablation_table(grid: str, seeds: list, runs) -> AblationTable:
-    rows = [AblationRow(label, [_run_cell(c) for c in configs]) for label, configs in runs]
-    return AblationTable(grid=grid, seeds=seeds, rows=rows)
+def _ablation_table(grid: str, seeds: list, runs: dict[str, list]) -> AblationTable:
+    return AblationTable(grid, seeds, {label: [_run_cell(c) for c in configs]
+                                       for label, configs in runs.items()})
 
 
-def run_ablation(grid: str, cfg: RunConfig, seeds, values=None) -> AblationTable:
-    """One in-memory run per grid cell per master seed, aggregated into a table.
-    Every cell's config is built and checked before the first run starts."""
+def run_ablation(grid: str, cfg: RunConfig, seeds, cells=None) -> AblationTable:
+    """One in-memory run per cell ({label: overrides}, the grid's by default)
+    per master seed, aggregated into a table. Every cell's config is built
+    and checked before the first run starts."""
     seeds = list(seeds)
-    return _ablation_table(grid, seeds, _ablation_runs(grid, cfg, seeds, values))
+    return _ablation_table(grid, seeds, _ablation_runs(grid, cfg, seeds, cells))
 
 
 def cmd_gen_data(args) -> int:
@@ -216,6 +195,10 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _mean_eds(report: EvalReport) -> str:
+    return "ED " + " ".join(f"{axis}={mean:.4f}" for axis, mean in report.means.items())
+
+
 def cmd_eval(args) -> int:
     cfg = _resolved(args)
     out = _prepare_out(cfg, "eval")
@@ -240,9 +223,8 @@ def cmd_eval(args) -> int:
                       gen_config(cfg), cfg.preamble)
     report.to_json(out / "eval_report.json")
     report.summary_csv(out / "eval_summary.csv")
-    print(f"evaluated {report.num_instances} instances: "
-          f"ED verb={report.mean_verb:.4f} noun={report.mean_noun:.4f} "
-          f"action={report.mean_action:.4f}; wrote {out / 'eval_report.json'}")
+    print(f"evaluated {report.num_instances} instances: {_mean_eds(report)}; "
+          f"wrote {out / 'eval_report.json'}")
     return 0
 
 
@@ -288,9 +270,7 @@ def cmd_report(args) -> int:
     report_path = out / "eval_report.json"
     if report_path.exists():
         report = EvalReport.from_json(report_path)
-        print(f"eval ({report.num_instances} instances): "
-              f"ED verb={report.mean_verb:.4f} noun={report.mean_noun:.4f} "
-              f"action={report.mean_action:.4f}")
+        print(f"eval ({report.num_instances} instances): {_mean_eds(report)}")
         shown = True
     log_path = out / "train_log.csv"
     if log_path.exists():

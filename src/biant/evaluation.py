@@ -94,49 +94,78 @@ def score_instance(cands: CandidateSet, gt) -> EvalRecord:
     )
 
 
+def _record(doc) -> EvalRecord:
+    """An EvalRecord from its JSON object; ParseError unless ``instance_id``
+    is a string, each ``ed_*`` a number in [0, 1] and each ``best_*`` an
+    int >= 0 (a bool is neither)."""
+    record = EvalRecord(**doc)
+    if not isinstance(record.instance_id, str):
+        raise ParseError(f"instance_id must be a string, got {record.instance_id!r}")
+    for axis in AXES:
+        ed, best = getattr(record, f"ed_{axis}"), getattr(record, f"best_{axis}")
+        if not (type(ed) in (int, float) and 0 <= ed <= 1):
+            raise ParseError(f"ed_{axis} must be a number in [0, 1], got {ed!r}")
+        if not (type(best) is int and best >= 0):
+            raise ParseError(f"best_{axis} must be an int >= 0, got {best!r}")
+    return record
+
+
 @dataclass
 class EvalReport:
-    """Per-instance scores plus their unweighted means and a config echo."""
+    """Per-instance scores and a config echo; every aggregate is computed
+    from the records."""
 
     records: list[EvalRecord]
-    mean_verb: float
-    mean_noun: float
-    mean_action: float
     config: dict
 
     @property
     def num_instances(self) -> int:
         return len(self.records)
 
+    @property
+    def means(self) -> dict[str, float]:
+        """Unweighted mean ED over the records, per axis in AXES order."""
+        return {a: float(np.mean([getattr(r, f"ed_{a}") for r in self.records])) for a in AXES}
+
+    @property
+    def mean_action(self) -> float:
+        return self.means[ACTION_AXIS]
+
+    def _summary(self) -> dict:
+        return {"num_instances": self.num_instances, "means": self.means}
+
     def to_json(self, path: str | Path) -> None:
-        doc = {
-            "config": self.config,
-            "num_instances": self.num_instances,
-            "means": {"verb": self.mean_verb, "noun": self.mean_noun,
-                      "action": self.mean_action},
-            "records": [vars(r) for r in self.records],
-        }
+        doc = {"config": self.config, **self._summary(),
+               "records": [vars(r) for r in self.records]}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "EvalReport":
+        """The report in a file written by ``to_json``; ParseError unless it
+        has records, each of the right types, and its stated
+        ``num_instances`` and ``means`` are what those records give."""
         doc = load_json(path)
         try:
-            means = doc["means"]
-            return cls(records=[EvalRecord(**r) for r in doc["records"]],
-                       mean_verb=float(means["verb"]), mean_noun=float(means["noun"]),
-                       mean_action=float(means["action"]), config=doc.get("config", {}))
-        except (KeyError, TypeError, ValueError) as err:
+            report = cls(records=[_record(r) for r in doc["records"]],
+                         config=doc.get("config", {}))
+            stated = {key: doc[key] for key in ("num_instances", "means")}
+        except (KeyError, TypeError, ParseError) as err:
             raise ParseError(f"{path}: bad eval report: {type(err).__name__}: {err}") from err
+        if not report.records:
+            raise ParseError(f"{path}: bad eval report: no records")
+        # Compared as JSON text, so a bool or an int never passes for a float.
+        if json.dumps(stated, sort_keys=True) != json.dumps(report._summary(), sort_keys=True):
+            raise ParseError(f"{path}: bad eval report: stated {stated} differ from "
+                             f"the records' {report._summary()}")
+        return report
 
     def summary_csv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["num_instances", "mean_ed_verb", "mean_ed_noun", "mean_ed_action"])
-            writer.writerow([self.num_instances, repr(self.mean_verb),
-                             repr(self.mean_noun), repr(self.mean_action)])
+            writer.writerow([self.num_instances] + [repr(m) for m in self.means.values()])
 
 
 def evaluate(
@@ -164,10 +193,4 @@ def evaluate(
     records = [score_instance(candidate_fn(inst), inst.future) for inst in instances]
     config = {"gen": dataclasses.asdict(gen), "window": dataclasses.asdict(window),
               "preamble": mode}
-    return EvalReport(
-        records=records,
-        mean_verb=float(np.mean([r.ed_verb for r in records])),
-        mean_noun=float(np.mean([r.ed_noun for r in records])),
-        mean_action=float(np.mean([r.ed_action for r in records])),
-        config=config,
-    )
+    return EvalReport(records=records, config=config)

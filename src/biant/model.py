@@ -44,6 +44,8 @@ from .prompt import EncodedInstance
 from .sequence import BACKWARD, FORWARD
 
 INIT_STD = 0.02
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+FD_EPSILON = 1e-4  # central-difference step of the gradient check
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 _M_TRIM_THRESHOLD = -1
@@ -268,11 +270,10 @@ def _stack_batch(batch: list[EncodedInstance]) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class BatchLosses:
-    """Per-instance loss sums and directions, plus the optimized objective."""
+    """Per-instance loss sums, plus the optimized objective."""
 
     objective: float
     per_instance: np.ndarray
-    directions: list[str]
 
 
 def batch_objective(params: Parameters, batch: list[EncodedInstance], w: LossWeights) -> float:
@@ -329,7 +330,7 @@ def _batch_losses(params, batch, w, grads=None) -> BatchLosses:
         del dlog  # freed before the backward pass allocates its own
         _trunk_backward(params, layers, dx, group_tokens, p - 1, grads)
     objective = float((weights * per_instance).mean())
-    return BatchLosses(objective, per_instance, [e.direction for e in batch])
+    return BatchLosses(objective, per_instance)
 
 
 def gradient(
@@ -387,10 +388,7 @@ def _trunk_backward(params, layers, dx, tokens, first, grads) -> None:
 
 
 def finite_difference_gradient(
-    params: Parameters,
-    batch: list[EncodedInstance],
-    w: LossWeights,
-    epsilon: float = 1e-4,
+    params: Parameters, batch: list[EncodedInstance], w: LossWeights
 ) -> dict[str, np.ndarray]:
     """Central-difference gradient of the batch objective (the slow oracle)."""
     out = {}
@@ -399,25 +397,20 @@ def finite_difference_gradient(
         flat = arr.reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
-            flat[j] = orig + epsilon
+            flat[j] = orig + FD_EPSILON
             up = batch_objective(params, batch, w)
-            flat[j] = orig - epsilon
+            flat[j] = orig - FD_EPSILON
             down = batch_objective(params, batch, w)
             flat[j] = orig
-            g.reshape(-1)[j] = (up - down) / (2.0 * epsilon)
+            g.reshape(-1)[j] = (up - down) / (2.0 * FD_EPSILON)
         out[name] = g
     return out
 
 
-def gradient_check(
-    params: Parameters,
-    batch: list[EncodedInstance],
-    w: LossWeights,
-    epsilon: float = 1e-4,
-) -> float:
+def gradient_check(params: Parameters, batch: list[EncodedInstance], w: LossWeights) -> float:
     """Max relative error between analytic and finite-difference gradients."""
     analytic, _ = gradient(params, batch, w)
-    numeric = finite_difference_gradient(params, batch, w, epsilon)
+    numeric = finite_difference_gradient(params, batch, w)
     worst = 0.0
     for name in params.arrays:
         a, f = analytic[name], numeric[name]
@@ -461,13 +454,7 @@ def init_adam(params: Parameters) -> AdamState:
 
 
 def optimizer_step(
-    params: Parameters,
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    params: Parameters, grads: dict[str, np.ndarray], state: AdamState, lr: float
 ) -> tuple[Parameters, AdamState]:
     """One deterministic Adam update; returns fresh params and state."""
     if set(grads) != set(params.arrays):
@@ -480,11 +467,11 @@ def optimizer_step(
         g = grads[name]
         if g.shape != arr.shape:
             raise ShapeMismatch(f"gradient shape {g.shape} != param shape {arr.shape} for {name}")
-        m = beta1 * state.m[name] + (1 - beta1) * g
-        v = beta2 * state.v[name] + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1**step)
-        v_hat = v / (1 - beta2**step)
-        new_arrays[name] = arr - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1**step)
+        v_hat = v / (1 - ADAM_BETA2**step)
+        new_arrays[name] = arr - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_m[name] = m
         new_v[name] = v
     return Parameters(params.config, new_arrays), AdamState(new_m, new_v, step)
@@ -512,14 +499,19 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, dict]:
     object as meta."""
     try:
         doc = load_json(path)
-        if doc.get("version") != CHECKPOINT_VERSION:
-            raise ParseError(f"unsupported checkpoint version: {doc.get('version')!r}")
+        version = doc.get("version")
+        if type(version) is not int or version != CHECKPOINT_VERSION:
+            raise ParseError(f"unsupported checkpoint version: {version!r}")
         cfg = ModelConfig(**doc["model_config"])
         arrays = {}
         for name, shape in _param_shapes(cfg):
-            arr = arrays[name] = np.asarray(doc["arrays"][name], dtype=np.float64)
-            if arr.shape != shape:
-                raise ParseError(f"array {name!r} has shape {arr.shape}, expected {shape}")
+            values = np.asarray(doc["arrays"][name], dtype=object)
+            if values.shape != shape:
+                raise ParseError(f"array {name!r} has shape {values.shape}, expected {shape}")
+            # Only JSON numbers; a bool would otherwise load as 0.0 or 1.0.
+            if not set(map(type, values.flat)) <= {int, float}:
+                raise ParseError(f"array {name!r} holds a value that is not a number")
+            arr = arrays[name] = values.astype(np.float64)
             if not np.isfinite(arr).all():
                 raise ParseError(f"array {name!r} has non-finite values")
     except (ConfigError, ValueError, KeyError, TypeError, AttributeError) as err:

@@ -152,7 +152,7 @@ def train(
                 ) from err
             params, state = optimizer_step(params, grads, state, cfg.lr)
             losses.extend(batch_losses.per_instance.tolist())
-            directions.extend(batch_losses.directions)
+            directions.extend(e.direction for e in batch)
         log.epochs.append(_epoch_stats(epoch, losses, directions, cfg.weights, t0))
         t0 = time.monotonic()
     return params, log

@@ -43,6 +43,9 @@ PIPELINE_CONFIG = {
 }
 DIGESTED = ("corpus.json", "checkpoint.json", "eval_report.json")
 
+# test_06's two cells, labelled by their keys in golden.json.
+DIRECTION_CELLS = {"forward_only": {"beta": 0.0}, "bidirectional": {"beta": 1.0}}
+
 _PIPELINE = """
 import sys
 from biant.cli import main
@@ -76,11 +79,9 @@ def pipeline_digests() -> dict[str, str]:
 def direction_eds() -> dict[str, list[float]]:
     """test_06's mean action ED per master seed, forward-only and bidirectional."""
     cfg = RunConfig(eval_stride=13, epochs=8, window=WindowConfig(stride=6))
-    fwd, bidir = run_ablation(LOSS_WEIGHTS, cfg, seeds=range(5),
-                              values=[(1.0, 0.0), (1.0, 1.0)]).rows
+    rows = run_ablation(LOSS_WEIGHTS, cfg, seeds=range(5), cells=DIRECTION_CELLS).rows
     action = AXES.index(ACTION_AXIS)
-    return {"forward_only": [s[action] for s in fwd.per_seed],
-            "bidirectional": [s[action] for s in bidir.per_seed]}
+    return {label: [s[action] for s in per_seed] for label, per_seed in rows.items()}
 
 
 def load() -> dict:

@@ -188,7 +188,7 @@ def ref_losses_from_logits(logits, batch, w):
     per_instance = np.zeros(len(batch))
     np.add.at(per_instance, rows, nll)
     objective = float((_ref_weights(batch, w) * per_instance).mean())
-    return BatchLosses(objective, per_instance, [e.direction for e in batch])
+    return BatchLosses(objective, per_instance)
 
 
 def ref_gradient_detailed(params, batch, w):

@@ -98,45 +98,44 @@ def _drop_model_config(text):
     return json.dumps(doc)
 
 
-def _nan_in_w_out(text):
-    doc = json.loads(text)
-    doc["arrays"]["w_out"][0][0] = float("nan")
-    return json.dumps(doc)
-
-
 def _meta_array(text):
     doc = json.loads(text)
     doc["meta"] = [doc["meta"]]
     return json.dumps(doc)
 
 
-def _set_model_config(key, value):
+def _set(*keys, value):
+    """A corruption that sets the JSON value found by ``keys`` to ``value``."""
     def corrupt(text):
         doc = json.loads(text)
-        doc["model_config"][key] = value
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
         return json.dumps(doc)
     return corrupt
 
 
-@pytest.mark.parametrize("corrupt", [_drop_model_config, lambda text: text[: len(text) // 2],
-                                     _nan_in_w_out, _meta_array,
-                                     _set_model_config("embed_dim", 1000000),
-                                     _set_model_config("embed_dim", 8.0),
-                                     _set_model_config("seed", 1.5),
-                                     _set_model_config("seed", -1)],
-                         ids=["no_model_config", "truncated", "nan_w_out", "meta_array",
-                              "huge_embed_dim", "float_embed_dim", "float_seed",
-                              "negative_seed"])
-def test_eval_undecodable_checkpoint_exit_code(run_dir, tmp_path, capsys, corrupt):
+@pytest.mark.parametrize("corrupt, needle", [
+    (_drop_model_config, "model_config"),
+    (lambda text: text[: len(text) // 2], "not valid JSON"),
+    (_set("arrays", "w_out", 0, 0, value=float("nan")), "'w_out' has non-finite values"),
+    (_meta_array, "meta must be an object"),
+    (_set("model_config", "embed_dim", value=1000000), "has shape"),
+    (_set("model_config", "embed_dim", value=8.0), "must be integers"),
+    (_set("model_config", "seed", value=1.5), "must be integers"),
+    (_set("model_config", "seed", value=-1), "seed must be >= 0"),
+    (_set("version", value=True), "unsupported checkpoint version: True"),
+    (_set("arrays", "b_out", 1, value=True), "'b_out' holds a value that is not a number"),
+], ids=["no_model_config", "truncated", "nan_w_out", "meta_array", "huge_embed_dim",
+        "float_embed_dim", "float_seed", "negative_seed", "bool_version", "bool_in_b_out"])
+def test_eval_undecodable_checkpoint_exit_code(run_dir, tmp_path, capsys, corrupt, needle):
     cfg_path, out = run_dir
     bad = tmp_path / "checkpoint.json"
     bad.write_text(corrupt((out / "checkpoint.json").read_text()))
     code = main(["eval", "--config", str(cfg_path), "--out", str(out),
                  "--checkpoint", str(bad)])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "ParseError" in err
-    assert "Traceback" not in err
+    _assert_invalid_data(code, capsys, "ParseError", needle)
 
 
 def _assert_invalid_data(code, capsys, *needles):
@@ -178,18 +177,42 @@ def _non_numeric_first_loss(text):
     return "\n".join([header, ",".join(cells), *rest]) + "\n"
 
 
+def _drop_means(text):
+    doc = json.loads(text)
+    del doc["means"]
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def evaluated(run_dir, tmp_path_factory):
+    """A copy of run_dir after one eval, so it holds an eval_report.json."""
+    cfg_path, out = run_dir
+    copy = tmp_path_factory.mktemp("evaluated") / "run"
+    shutil.copytree(out, copy)
+    assert main(["eval", "--config", str(cfg_path), "--out", str(copy)]) == 0
+    return cfg_path, copy
+
+
 @pytest.mark.parametrize("name, corrupt, needle", [
     ("eval_report.json", lambda text: text[: len(text) // 2], "not valid JSON"),
-    ("eval_report.json", lambda text: json.dumps({"records": []}), "bad eval report"),
+    ("eval_report.json", _drop_means, "KeyError: 'means'"),
+    ("eval_report.json", _set("records", value=[]), "no records"),
+    ("eval_report.json", _set("means", "verb", value=True), "differ from the records"),
+    ("eval_report.json", _set("num_instances", value="3"), "differ from the records"),
+    ("eval_report.json", _set("means", "action", value=0.5), "differ from the records"),
+    ("eval_report.json", _set("records", 0, "instance_id", value=7), "instance_id must be"),
+    ("eval_report.json", _set("records", 1, "ed_noun", value=1.5), "ed_noun must be"),
+    ("eval_report.json", _set("records", 2, "best_action", value=True), "best_action must be"),
     ("train_log.csv", _non_numeric_first_loss, "bad train log"),
-], ids=["truncated_eval_report", "eval_report_without_means", "non_numeric_train_loss"])
-def test_report_undecodable_artifact_exit_code(run_dir, tmp_path, capsys, name, corrupt, needle):
-    cfg_path, out = run_dir
+], ids=["truncated_eval_report", "eval_report_without_means", "eval_report_without_records",
+        "bool_mean", "str_num_instances", "mean_not_from_records", "int_instance_id",
+        "ed_above_one", "bool_best_action", "non_numeric_train_loss"])
+def test_report_undecodable_artifact_exit_code(evaluated, tmp_path, capsys, name, corrupt, needle):
+    cfg_path, out = evaluated
     bad = tmp_path / "run"
     bad.mkdir()
-    EvalReport(records=[], mean_verb=0.5, mean_noun=0.5, mean_action=0.5,
-               config={}).to_json(bad / "eval_report.json")
-    shutil.copy(out / "train_log.csv", bad / "train_log.csv")
+    for artifact in ("eval_report.json", "train_log.csv"):
+        shutil.copy(out / artifact, bad / artifact)
     (bad / name).write_text(corrupt((bad / name).read_text()))
     code = main(["report", "--config", str(cfg_path), "--out", str(bad)])
     _assert_invalid_data(code, capsys, "ParseError", name, needle)
@@ -372,8 +395,9 @@ def test_ablation_cell_is_one_cli_run(run_dir, tmp_path):
         assert main([command, "--config", str(cfg_path), "--out", str(out),
                      "--seed", "1", *flags]) == 0
     means = json.loads((out / "eval_report.json").read_text())["means"]
-    table = run_ablation(LOSS_WEIGHTS, load_run_config(cfg_path), [1], values=[(1.0, 0.5)])
-    assert table.rows[0].per_seed[0] == (means["verb"], means["noun"], means["action"])
+    table = run_ablation(LOSS_WEIGHTS, load_run_config(cfg_path), [1],
+                         cells={"beta=0.5": {"beta": 0.5}})
+    assert table.rows["beta=0.5"] == [(means["verb"], means["noun"], means["action"])]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -8,7 +8,6 @@ from biant.cli import (
     LOSS_WEIGHTS,
     OBS_INTERVAL,
     TOKEN_TYPE,
-    _cell,
     run_ablation,
 )
 from biant.config import RunConfig, apply_overrides, run_config_from_document, train_config
@@ -183,7 +182,7 @@ def test_evaluate_oracle_candidates_score_zero(space):
                       candidate_fn=lambda inst: CandidateSet(inst.instance_id,
                                                              [tuple(inst.future)]))
     assert report.num_instances == 5
-    assert (report.mean_verb, report.mean_noun, report.mean_action) == (0.0, 0.0, 0.0)
+    assert report.means == {"verb": 0.0, "noun": 0.0, "action": 0.0}
     ids = [r.instance_id for r in report.records]
     assert ids == sorted(ids)
 
@@ -193,7 +192,7 @@ def test_evaluate_constant_candidates_score_poorly(space):
     constant = tuple(ActionLabel(0, 0) for _ in range(window.z_fwd))
     report = evaluate(None, space, videos, window, gen, SPECIAL_TOKEN,
                       candidate_fn=lambda inst: CandidateSet(inst.instance_id, [constant]))
-    assert report.mean_verb > 0.5
+    assert report.means["verb"] > 0.5
     assert report.mean_action > 0.7
 
 
@@ -239,25 +238,22 @@ def test_eval_report_round_trip(tmp_path, space):
     assert lines[1].startswith("5,")
 
 
-def test_cell_train_cfg_per_grid():
-    def cell_train_cfg(grid, value):
-        _, overrides = _cell(grid, value)
-        return train_config(apply_overrides(RunConfig(), **overrides))
-
-    assert _cell(OBS_INTERVAL, 4) == ("4", {"n_obs_bwd": 4})
-    assert _cell(LOSS_WEIGHTS, (1.0, 0.5)) == ("alpha=1 beta=0.5", {"alpha": 1.0, "beta": 0.5})
-    assert _cell(TOKEN_TYPE, SPECIAL_TOKEN) == ("special_token", {"preamble": SPECIAL_TOKEN})
-    assert cell_train_cfg(OBS_INTERVAL, 4).window.n_obs_bwd == 4
-    assert cell_train_cfg(LOSS_WEIGHTS, (1.0, 0.5)).weights == LossWeights(1.0, 0.5)
-    assert cell_train_cfg(TOKEN_TYPE, DETAILED_DESCRIPTION).preamble == DETAILED_DESCRIPTION
-    with pytest.raises(ConfigError):
-        _cell("optimizer", 1)
-
-
 def test_ablation_grids_match_study_layouts():
-    assert ABLATION_GRIDS[OBS_INTERVAL] == [4, 8, 16, 24]
-    assert ABLATION_GRIDS[LOSS_WEIGHTS] == [(1.0, 0.5), (1.0, 0.75), (1.0, 1.0)]
-    assert ABLATION_GRIDS[TOKEN_TYPE] == [DETAILED_DESCRIPTION, SPECIAL_TOKEN]
+    assert ABLATION_GRIDS[OBS_INTERVAL] == {str(n): {"n_obs_bwd": n} for n in (4, 8, 16, 24)}
+    assert ABLATION_GRIDS[LOSS_WEIGHTS] == {
+        "alpha=1 beta=0.5": {"alpha": 1.0, "beta": 0.5},
+        "alpha=1 beta=0.75": {"alpha": 1.0, "beta": 0.75},
+        "alpha=1 beta=1": {"alpha": 1.0, "beta": 1.0},
+    }
+    assert ABLATION_GRIDS[TOKEN_TYPE] == {DETAILED_DESCRIPTION: {"preamble": DETAILED_DESCRIPTION},
+                                          SPECIAL_TOKEN: {"preamble": SPECIAL_TOKEN}}
+
+    def cell_train_cfg(grid, label):
+        return train_config(apply_overrides(RunConfig(), **ABLATION_GRIDS[grid][label]))
+
+    assert cell_train_cfg(OBS_INTERVAL, "4").window.n_obs_bwd == 4
+    assert cell_train_cfg(LOSS_WEIGHTS, "alpha=1 beta=0.5").weights == LossWeights(1.0, 0.5)
+    assert cell_train_cfg(TOKEN_TYPE, DETAILED_DESCRIPTION).preamble == DETAILED_DESCRIPTION
 
 
 def test_run_ablation_validation():
@@ -267,27 +263,31 @@ def test_run_ablation_validation():
     with pytest.raises(ConfigError):
         run_ablation(LOSS_WEIGHTS, cfg, [])
     with pytest.raises(ConfigError):
-        run_ablation(LOSS_WEIGHTS, cfg, [0], values=[])
+        run_ablation(LOSS_WEIGHTS, cfg, [0], cells={})
 
 
 def test_run_ablation_small_grid(tmp_path):
     cfg = run_config_from_document(SMALL_CONFIG)
-    table = run_ablation(LOSS_WEIGHTS, cfg, seeds=[0, 1], values=[(1.0, 0.5), (1.0, 1.0)])
+    labels = ["alpha=1 beta=0.5", "alpha=1 beta=1"]
+    cells = {label: ABLATION_GRIDS[LOSS_WEIGHTS][label] for label in labels}
+    table = run_ablation(LOSS_WEIGHTS, cfg, seeds=[0, 1], cells=cells)
     assert table.grid == LOSS_WEIGHTS and table.seeds == [0, 1]
-    assert [r.label for r in table.rows] == ["alpha=1 beta=0.5", "alpha=1 beta=1"]
-    for row in table.rows:
-        assert len(row.per_seed) == 2
-        for i, axis in enumerate(AXES):
-            column = [means[i] for means in row.per_seed]
-            assert row.mean[axis] == np.mean(column)
-            assert row.std[axis] == np.std(column)
-            assert 0.0 <= row.mean[axis] <= 2.0
+    assert list(table.rows) == labels
+    assert all(len(per_seed) == 2 for per_seed in table.rows.values())
 
     csv_path = tmp_path / "table.csv"
     table.to_csv(csv_path)
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "loss_weights,verb_mean,verb_std,noun_mean,noun_std,action_mean,action_std"
     assert len(lines) == 3
+    for line, (label, per_seed) in zip(lines[1:], table.rows.items()):
+        label_cell, *stats = line.split(",")
+        assert label_cell == label
+        for i in range(len(AXES)):
+            column = [means[i] for means in per_seed]
+            assert float(stats[2 * i]) == np.mean(column)
+            assert float(stats[2 * i + 1]) == np.std(column)
+            assert 0.0 <= float(stats[2 * i]) <= 2.0
 
     text = table.render()
     assert "alpha=1 beta=0.5" in text

@@ -195,7 +195,6 @@ def _assert_matches_oracle(params, batch, w):
     np.testing.assert_allclose(fast_losses.per_instance, slow_losses.per_instance, rtol=1e-12)
     assert math.isclose(fast_losses.objective, slow_losses.objective, rel_tol=1e-12)
     assert math.isclose(batch_objective(params, batch, w), slow_losses.objective, rel_tol=1e-12)
-    assert fast_losses.directions == slow_losses.directions
 
 
 @pytest.mark.parametrize("vocab_name", ["demo", "scaled"])
@@ -244,7 +243,7 @@ def test_gradient_empty_batch(tiny_params):
 
 def test_gradient_matches_finite_differences():
     params, batch, w = make_gradcheck_case(seed=0)
-    assert gradient_check(params, batch, w, epsilon=1e-4) < 1e-4
+    assert gradient_check(params, batch, w) < 1e-4
 
 
 def test_gradcheck_case_is_deterministic():
