@@ -248,9 +248,14 @@ def test_ablation_grids_match_study_layouts():
     assert ABLATION_GRIDS[TOKEN_TYPE] == {DETAILED_DESCRIPTION: {"preamble": DETAILED_DESCRIPTION},
                                           SPECIAL_TOKEN: {"preamble": SPECIAL_TOKEN}}
 
+
+def test_cell_train_cfg_per_grid():
     def cell_train_cfg(grid, label):
         return train_config(apply_overrides(RunConfig(), **ABLATION_GRIDS[grid][label]))
 
+    for grid, cells in ABLATION_GRIDS.items():
+        for label in cells:
+            cell_train_cfg(grid, label)
     assert cell_train_cfg(OBS_INTERVAL, "4").window.n_obs_bwd == 4
     assert cell_train_cfg(LOSS_WEIGHTS, "alpha=1 beta=0.5").weights == LossWeights(1.0, 0.5)
     assert cell_train_cfg(TOKEN_TYPE, DETAILED_DESCRIPTION).preamble == DETAILED_DESCRIPTION
